@@ -124,12 +124,21 @@ def stubborn_equilibrium(
     a_sub, a_col, sigma_scalar, _ = _partition(
         g, delta_mu, sigma_inf, sigma_y, stubborn_id
     )
-    rho = spectral_radius(a_sub)
+    return _pinned_solve(
+        a_sub, a_col, sigma_scalar, spectral_radius(a_sub), mu_dagger, theta
+    )
+
+
+def _pinned_solve(
+    a_sub: np.ndarray, a_col: np.ndarray, sigma_scalar: float, rho: float,
+    mu_dagger: float, theta: float,
+) -> np.ndarray:
+    """Solve the reduced block system whose spectral radius rho is known."""
     if rho >= 1.0:
         raise InstabilityError(
             f"reduced system is unstable: spectral radius {rho:.6f} >= 1"
         )
-    system = np.eye(g.n - 1) - a_sub
+    system = np.eye(a_sub.shape[0]) - a_sub
     rhs = (1.0 - sigma_scalar) * theta + a_col * mu_dagger
     try:
         gamma = np.linalg.solve(system, rhs)
@@ -268,15 +277,33 @@ def predict(
         sigma_y,
         stubborn=() if stubborn_id is None else (stubborn_id,),
     )
+    return _predict_from_report(
+        g, report, delta_mu, sigma_y, theta, stubborn_id, mu_dagger
+    )
+
+
+def _predict_from_report(
+    g: SocialGraph, report: StabilityReport, delta_mu: float, sigma_y: float,
+    theta: float, stubborn_id: int | None, mu_dagger: float | None,
+) -> TheoryPrediction:
+    """Body of :func:`predict` after its stability report.
+
+    The report must pin exactly stubborn_id; its reduced-block radius gates
+    the pinned solve, so no second eigensolve runs.
+    """
+    sigma_inf = report.sigma_inf
     limit_mean, c = asymptotic_mean_cov(theta, sigma_y, sigma_inf, g.n)
     if stubborn_id is not None:
         if mu_dagger is None:
             raise InvalidParameterError("mu_dagger required with a stubborn agent")
-        gamma = stubborn_equilibrium(
-            g, delta_mu, sigma_inf, sigma_y, stubborn_id, mu_dagger, theta
+        a_sub, a_col, sigma_scalar, keep = _partition(
+            g, delta_mu, sigma_inf, sigma_y, stubborn_id
+        )
+        gamma = _pinned_solve(
+            a_sub, a_col, sigma_scalar, report.stubborn_spectral_radius,
+            mu_dagger, theta,
         )
         limit_mean = np.array(limit_mean)
-        keep = [j for j in range(g.n) if j != stubborn_id - 1]
         limit_mean[keep] = gamma
         limit_mean[stubborn_id - 1] = mu_dagger
     return TheoryPrediction(
@@ -289,20 +316,26 @@ def predict(
 
 
 def build_summary(
-    prediction: TheoryPrediction,
+    prediction: TheoryPrediction | None,
     report: StabilityReport,
     gamma: np.ndarray | None = None,
-    centrality: Iterable[float] | None = None,
 ) -> dict:
-    """Assemble the summary document written next to run artifacts."""
+    """Assemble the summary document written next to run artifacts.
+
+    With no prediction (an unstable system simulated under --force) the
+    limit fields are null and only the stability report is filled in.
+    """
     return {
-        "sigma_inf": prediction.sigma_inf,
+        "sigma_inf": report.sigma_inf,
         "spectral_radius": report.spectral_radius,
         "stubborn_spectral_radius": report.stubborn_spectral_radius,
         "row_sum_residual": report.row_sum_residual,
         "conditions": dict(report.conditions),
-        "limit_mean": [float(x) for x in prediction.limit_mean],
-        "limit_cov_scalar": prediction.limit_cov_scalar,
+        "limit_mean": (
+            None if prediction is None
+            else [float(x) for x in prediction.limit_mean]
+        ),
+        "limit_cov_scalar": None if prediction is None else prediction.limit_cov_scalar,
         "gamma": None if gamma is None else [float(x) for x in gamma],
-        "centrality": None if centrality is None else [float(x) for x in centrality],
+        "centrality": None,
     }

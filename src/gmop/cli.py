@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -63,6 +63,8 @@ __all__ = [
 #: Baseline slack added to every Monte Carlo tolerance.
 TOLERANCE_EPS = 1e-6
 
+log = logging.getLogger(__name__)
+
 
 def build_graph(net: NetworkConfig) -> SocialGraph:
     """Run the seeded construction pipeline: topology, hub, weights, scaling.
@@ -72,6 +74,7 @@ def build_graph(net: NetworkConfig) -> SocialGraph:
     stage (on by default) rescales each node's in-weights to sum to one,
     which keeps the mean dynamics contractive for any delta_mu in (0, 1];
     disable it via network.normalize_in_weights to study raw-weight graphs.
+    A disconnected final graph is allowed but logged as a diagnostic.
     """
     g = generate_watts_strogatz(
         net.n, net.k_ws, net.p_ws, child_rng(net.seed, "topology")
@@ -83,6 +86,11 @@ def build_graph(net: NetworkConfig) -> SocialGraph:
     g = assign_random_weights(g, child_rng(net.seed, "weights"))
     if net.normalize_in_weights:
         g = normalize_in_weights(g)
+    if not g.is_connected():
+        log.warning(
+            "generated graph is disconnected (n=%d, k_ws=%d, p_ws=%g, hub=%g)",
+            net.n, net.k_ws, net.p_ws, net.hub_fraction,
+        )
     return g
 
 
@@ -130,39 +138,31 @@ def _write_json(doc: dict, path: Path) -> None:
 
 
 def _theory(config: SimulationConfig, g: SocialGraph):
-    """Stability report plus (when stable) the closed-form prediction."""
+    """One theory pass: (report, gate_name, gate, prediction, gamma).
+
+    The gate is rho(A), or the reduced block's radius when an agent is pinned;
+    prediction and gamma are None when it is at least one.
+    """
     sigma_inf = analysis.sigma_fixed_point(config.policy.nu, config.model.sigma_y)
-    stubborn = (config.stubborn.node,) if config.stubborn.enabled else ()
+    pinned = config.stubborn.enabled
+    stubborn_id = config.stubborn.node if pinned else None
     report = analysis.stability_report(
-        g, config.policy.delta_mu, sigma_inf, config.model.sigma_y, stubborn=stubborn
+        g, config.policy.delta_mu, sigma_inf, config.model.sigma_y,
+        stubborn=(stubborn_id,) if pinned else (),
     )
-    if config.stubborn.enabled:
-        stable = bool(report.conditions.get("stubborn_spectral_ok"))
+    if pinned:
+        gate_name = "reduced-system spectral radius"
+        gate = report.stubborn_spectral_radius
     else:
-        stable = bool(report.conditions["spectral_ok"])
-    prediction = None
-    gamma = None
-    if stable:
-        prediction = analysis.predict(
-            g,
-            config.policy.delta_mu,
-            config.policy.nu,
-            config.model.sigma_y,
-            config.model.theta,
-            stubborn_id=config.stubborn.node if config.stubborn.enabled else None,
-            mu_dagger=config.stubborn.mu_dagger if config.stubborn.enabled else None,
-        )
-        if config.stubborn.enabled:
-            gamma = analysis.stubborn_equilibrium(
-                g,
-                config.policy.delta_mu,
-                sigma_inf,
-                config.model.sigma_y,
-                config.stubborn.node,
-                config.stubborn.mu_dagger,
-                config.model.theta,
-            )
-    return sigma_inf, report, prediction, gamma
+        gate_name, gate = "spectral radius", report.spectral_radius
+    if gate >= 1.0:
+        return report, gate_name, gate, None, None
+    prediction = analysis._predict_from_report(
+        g, report, config.policy.delta_mu, config.model.sigma_y, config.model.theta,
+        stubborn_id, config.stubborn.mu_dagger if pinned else None,
+    )
+    gamma = np.delete(prediction.limit_mean, stubborn_id - 1) if pinned else None
+    return report, gate_name, gate, prediction, gamma
 
 
 def _build_empirics(
@@ -226,14 +226,8 @@ def run_experiment(
     unstable run records null predictions.
     """
     g = build_graph(config.network)
-    sigma_inf, report, prediction, gamma = _theory(config, g)
-    if config.stubborn.enabled:
-        gate = report.stubborn_spectral_radius
-        gate_name = "reduced-system spectral radius"
-    else:
-        gate = report.spectral_radius
-        gate_name = "spectral radius"
-    if gate is not None and gate >= 1.0 and not force:
+    report, gate_name, gate, prediction, gamma = _theory(config, g)
+    if prediction is None and not force:
         raise InstabilityError(
             f"{gate_name} {gate:.6f} >= 1; the configured dynamics diverge "
             f"(row-sum residual {report.row_sum_residual:.3e}). "
@@ -248,7 +242,7 @@ def run_experiment(
         config.run.horizon,
         child_rng(config.run.seed, "observations"),
         gain_mode=config.run.gain_mode,
-        sigma_inf=sigma_inf if config.run.gain_mode == "steady" else None,
+        sigma_inf=report.sigma_inf if config.run.gain_mode == "steady" else None,
         observation=config.run.observation,
     )
 
@@ -256,21 +250,8 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     resolved = replace(config, run=replace(config.run, output_dir=str(out)))
 
-    if prediction is None:
-        summary = {
-            "sigma_inf": sigma_inf,
-            "spectral_radius": report.spectral_radius,
-            "stubborn_spectral_radius": report.stubborn_spectral_radius,
-            "row_sum_residual": report.row_sum_residual,
-            "conditions": dict(report.conditions),
-            "limit_mean": None,
-            "limit_cov_scalar": None,
-            "gamma": None,
-            "centrality": None,
-        }
-    else:
-        summary = analysis.build_summary(prediction, report, gamma=gamma)
-    empirics = _build_empirics(resolved, record, prediction, sigma_inf)
+    summary = analysis.build_summary(prediction, report, gamma=gamma)
+    empirics = _build_empirics(resolved, record, prediction, report.sigma_inf)
 
     paths = {
         "config": out / "config.json",
@@ -290,17 +271,13 @@ def run_experiment(
     )
 
 
-def sweep_centrality(
-    config: SimulationConfig, mu_dagger: float, jobs: int = 1
-) -> list[dict]:
+def sweep_centrality(config: SimulationConfig, mu_dagger: float) -> list[dict]:
     """Score every node by making it stubborn with opinion mu_dagger.
 
     Returns rows sorted by descending score, unstable nodes last with NaN
-    entries and stable=False. Rows are deterministic for a given config no
-    matter how many workers run the sweep.
+    entries and stable=False; ties keep node order, so the rows are
+    deterministic for a given config.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     g = build_graph(config.network)
     sigma_inf = analysis.sigma_fixed_point(config.policy.nu, config.model.sigma_y)
 
@@ -326,12 +303,7 @@ def sweep_centrality(
             "gamma_max": float(np.max(gamma)), "stable": True,
         }
 
-    nodes = range(1, g.n + 1)
-    if jobs == 1:
-        rows = [one(node) for node in nodes]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, nodes))
+    rows = [one(node) for node in range(1, g.n + 1)]
     rows.sort(
         key=lambda r: (not r["stable"], -r["score"] if r["stable"] else 0.0, r["node"])
     )
@@ -475,7 +447,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     g = build_graph(config.network)
-    _, report, prediction, gamma = _theory(config, g)
+    report, _, _, prediction, gamma = _theory(config, g)
     if prediction is None:
         raise InstabilityError(
             f"spectral radius {report.spectral_radius:.6f} (reduced: "
@@ -494,7 +466,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    rows = sweep_centrality(config, args.mu_dagger, jobs=args.jobs)
+    rows = sweep_centrality(config, args.mu_dagger)
     out = Path(args.out) if args.out else Path(config.run.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "centrality.csv"
@@ -547,10 +519,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--seed", type=int, help="override the run seed")
     run_p.add_argument("--out", help="output directory (default: config run.output_dir)")
     run_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker count; a single run is sequential, kept for symmetry",
-    )
-    run_p.add_argument(
         "--force", action="store_true",
         help="simulate even when the configured dynamics are unstable",
     )
@@ -570,7 +538,6 @@ def main(argv: list[str] | None = None) -> int:
         help="stubborn opinion to plant at each node in turn",
     )
     sweep_p.add_argument("--out", help="output directory")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel node solves")
 
     plots_p = sub.add_parser("emit-plots", help="write plot CSVs for a run directory")
     plots_p.add_argument("--run", required=True, help="run directory to read")

@@ -153,7 +153,7 @@ def generate_watts_strogatz(
 
     The rewiring scan is deterministic given the generator state: offsets
     d = 1..floor(k_ws/2) in the outer loop, nodes in ascending order inside.
-    A disconnected result is allowed but logged as a diagnostic.
+    The result may be disconnected; ``build_graph`` checks the finished graph.
     """
     if n < 3:
         raise InvalidParameterError(f"n must be at least 3, got {n}")
@@ -186,12 +186,7 @@ def generate_watts_strogatz(
             adj[i, j] = adj[j, i] = False
             adj[i, new_j] = adj[new_j, i] = True
 
-    graph = SocialGraph(n=n, weights=adj.astype(float))
-    if not graph.is_connected():
-        log.warning(
-            "generated graph is disconnected (n=%d, k_ws=%d, p_ws=%g)", n, k_ws, p_ws
-        )
-    return graph
+    return SocialGraph(n=n, weights=adj.astype(float))
 
 
 def add_influencer_hub(

@@ -1,10 +1,13 @@
 """End-to-end tests for the experiment runner and its file outputs."""
 
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +23,15 @@ from gmop import (
     initial_states,
     load_config,
     load_preset,
+    predict,
     run_experiment,
     save_config,
     sigma_fixed_point,
+    stubborn_equilibrium,
     sweep_centrality,
 )
+import gmop
+from gmop import analysis
 from gmop.cli import _parse_nodes, main, write_centrality_csv
 
 ARTIFACTS = ("config.json", "graph.edges", "trajectory.csv", "summary.json",
@@ -158,6 +165,81 @@ def test_run_experiment_force_runs_unstable_system(tmp_path):
     assert (tmp_path / "trajectory.csv").exists()
 
 
+# SHA-256 of the null-prediction artifacts of forced raw-weight runs, as the
+# inline summary builder wrote them before build_summary took over that case.
+FORCED_UNSTABLE_DIGESTS = {
+    None: {
+        "summary.json": "a848c567885650c81cef373c9999510388dbf6ad377308d7d26c468f5653b35f",
+        "empirics.json": "6d1a99e52dfd92d82d7806b90e9daf81e52eee487a328cbc1552c3be6c92f066",
+    },
+    2: {
+        "summary.json": "2ae686974550e20027690ad8e666a97e351de465ab5ef077ff840bca764350c0",
+        "empirics.json": "4a48dbfc16c0e296e07c8dc2b1a65dd0a94069f643f53b29e4ee8ec2e8461190",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "stubborn, message",
+    [(None, r"^spectral radius 2\.839289 >= 1;"),
+     (2, r"^reduced-system spectral radius 2\.835576 >= 1;")],
+    ids=["plain", "stubborn-node-2"],
+)
+def test_forced_unstable_artifacts_match_golden_digests(tmp_path, stubborn, message):
+    cfg = raw_weight_config()
+    if stubborn is not None:
+        pinned = replace(cfg.stubborn, enabled=True, node=stubborn, mu_dagger=-1.0)
+        cfg = replace(cfg, stubborn=pinned)
+    with pytest.raises(InstabilityError, match=message):
+        run_experiment(cfg, out_dir=tmp_path)
+    run_experiment(cfg, out_dir=tmp_path, force=True)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FORCED_UNSTABLE_DIGESTS[stubborn]
+    }
+    assert digests == FORCED_UNSTABLE_DIGESTS[stubborn]
+
+
+def test_predict_rejects_unstable_reduced_block():
+    cfg = raw_weight_config()
+    g = build_graph(cfg.network)
+    policy, model = cfg.policy, cfg.model
+    with pytest.raises(InstabilityError) as from_predict:
+        predict(g, policy.delta_mu, policy.nu, model.sigma_y, model.theta,
+                stubborn_id=2, mu_dagger=-1.0)
+    sigma_inf = sigma_fixed_point(policy.nu, model.sigma_y)
+    with pytest.raises(InstabilityError) as from_solve:
+        stubborn_equilibrium(g, policy.delta_mu, sigma_inf, model.sigma_y,
+                             stubborn_id=2, mu_dagger=-1.0, theta=model.theta)
+    assert str(from_predict.value) == str(from_solve.value)
+    assert str(from_solve.value) == (
+        "reduced system is unstable: spectral radius 2.835576 >= 1"
+    )
+
+
+def test_one_eigensolve_per_radius(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = analysis.spectral_radius
+
+    def counting(m):
+        calls.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(analysis, "spectral_radius", counting)
+
+    def count(action) -> int:
+        calls.clear()
+        action()
+        return len(calls)
+
+    # rho(A) alone without a stubborn agent; rho(A) and the reduced block with one.
+    s1, s3 = small_config("S1", 10, 5), small_config("S3", 10, 5)
+    assert count(lambda: run_experiment(s1, out_dir=tmp_path / "s1")) == 1
+    assert count(lambda: run_experiment(s3, out_dir=tmp_path / "s3")) == 2
+    assert count(lambda: main(["predict", "--preset", "S3"])) == 2
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # centrality sweep
 
@@ -176,12 +258,6 @@ def test_sweep_schema_and_hub_rank():
 def test_sweep_truthful_opinion_scores_nothing():
     rows = sweep_centrality(small_config(), mu_dagger=1.0)
     assert all(abs(r["score"]) <= 1e-12 for r in rows)
-
-
-def test_sweep_jobs_do_not_change_rows():
-    serial = sweep_centrality(small_config(), mu_dagger=-1.0, jobs=1)
-    parallel = sweep_centrality(small_config(), mu_dagger=-1.0, jobs=4)
-    assert serial == parallel
 
 
 def test_sweep_marks_unstable_nodes():
@@ -356,11 +432,15 @@ def test_main_rejects_malformed_seed_env(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point_smoke():
+    # The child imports the same gmop as this process, installed or not.
+    src = str(Path(gmop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "gmop", "predict", "--preset", "S2"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -2,6 +2,7 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from gmop import (
     SocialGraph,
     add_influencer_hub,
     assign_random_weights,
+    build_graph,
     build_system_matrices,
     check_row_sum_condition,
     generate_watts_strogatz,
     in_weight_diagonal,
     load_edge_list,
+    load_preset,
     normalize_in_weights,
     save_edge_list,
     spectral_radius,
@@ -119,11 +122,20 @@ def test_generator_rejects_bad_parameters():
         generate_watts_strogatz(10, 3, 1.5, rng(0))
 
 
-def test_generator_reports_disconnection(caplog):
-    with caplog.at_level(logging.WARNING, logger="gmop.network"):
-        g = generate_watts_strogatz(10, 2, 1.0, rng(16))
+def test_build_graph_reports_disconnection_of_final_graph(caplog):
+    net = load_preset("S1").network
+    # Fully rewired ring without the hub: seed 3 falls apart.
+    with caplog.at_level(logging.WARNING, logger="gmop"):
+        g = build_graph(replace(net, hub_fraction=0.0, p_ws=1.0, seed=3))
     assert not g.is_connected()
     assert any("disconnected" in r.message for r in caplog.records)
+    # The S1 lattice at n = 500 is disconnected before the hub joins it; the
+    # finished graph is connected, so nothing is logged.
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="gmop"):
+        g = build_graph(replace(net, n=500))
+    assert g.is_connected()
+    assert caplog.records == []
 
 
 # ---------------------------------------------------------------------------
