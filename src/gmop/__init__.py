@@ -46,9 +46,6 @@ from .dynamics import (
     TrajectoryRecord,
     draw_observation,
     simulate,
-    social_step_means,
-    social_step_variances,
-    social_step_weights,
     step,
 )
 from .errors import (

@@ -1,12 +1,16 @@
 """Per-step simulation engine.
 
-Each step (1) draws one noisy observation of the source, (2) folds it into
-every agent's mixture belief with the Bayesian update, (3) mixes means,
-variances, and weights with in-neighbors through the social policies, all
-reading post-Bayes values only (Jacobi-style, never partially updated
-neighbors), and (4) overwrites stubborn agents' mode means with their pinned
-value. State is stacked into (agents, modes) arrays internally; the engine is
-deterministic given the generator passed in.
+One loop in :func:`simulate` is the only implementation of a step, and
+:func:`step` is one :func:`simulate` step. Each step (1) draws one noisy
+observation of the source, (2) folds it into every agent's mixture belief
+with the Bayesian update, (3) mixes means, variances, and weights with
+in-neighbors through the social policies, all reading post-Bayes values only
+(Jacobi-style, never partially updated neighbors), and (4) overwrites
+stubborn agents' mode means with their pinned value. State is stacked into
+(agents, modes) arrays; the engine is deterministic given the generator
+passed in. Variances that mixing drives non-positive are clamped to
+``VARIANCE_FLOOR``; the clamps and the weight degeneracies are counted in
+``RunStats`` and reported in one warning per run.
 
 Two gain modes exist. The default "exact" mode runs the full per-mode gains
 and variance recursion. The "steady" mode freezes every variance at the
@@ -34,7 +38,7 @@ from .belief import (
     _normalize_log_weights,
 )
 from .errors import InvalidParameterError
-from .network import SocialGraph
+from .network import SocialGraph, _mixing_matrix
 
 __all__ = [
     "PolicyConfig",
@@ -42,9 +46,6 @@ __all__ = [
     "RunStats",
     "TrajectoryRecord",
     "draw_observation",
-    "social_step_means",
-    "social_step_variances",
-    "social_step_weights",
     "step",
     "simulate",
 ]
@@ -126,8 +127,7 @@ class TrajectoryRecord:
     means, variances, weights have shape (horizon, n_agents, n_modes) and
     hold post-social-step values; step k of the run (1-based in the CSV) is
     row k-1. observations has shape (horizon,) for a shared draw per step or
-    (horizon, n_agents) for independent draws. The post-Bayes intermediates
-    are retained only on request.
+    (horizon, n_agents) for independent draws.
     """
 
     means: np.ndarray
@@ -135,9 +135,6 @@ class TrajectoryRecord:
     weights: np.ndarray
     observations: np.ndarray
     stats: RunStats = field(default_factory=RunStats)
-    post_means: np.ndarray | None = None
-    post_variances: np.ndarray | None = None
-    post_weights: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -249,76 +246,6 @@ def draw_observation(obs: ObservationModel, rng: np.random.Generator) -> float:
     return float(obs.theta + math.sqrt(obs.sigma_y) * rng.standard_normal())
 
 
-def _mixing_matrix(g: SocialGraph, rate: float) -> np.ndarray:
-    """I + rate * (W^T - D): one in-neighbor averaging step on stacked columns."""
-    return np.eye(g.n) + rate * (g.weights.T - np.diag(g.in_weight_sums()))
-
-
-def _as_agent_mode(values, n: int, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(values, dtype=float)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] != n:
-        raise InvalidParameterError(
-            f"{name} must have one row per agent ({n}), got shape {arr.shape}"
-        )
-    return arr, squeeze
-
-
-def social_step_means(post_means, g: SocialGraph, delta_mu: float) -> np.ndarray:
-    """Mix post-Bayes means with in-neighbors, each mode independently.
-
-    mu_j <- mu_j + delta_mu * sum over in-neighbors l of w_lj (mu_l - mu_j).
-    Accepts shape (n,) or (n, modes).
-    """
-    arr, squeeze = _as_agent_mode(post_means, g.n, "post_means")
-    out = _mixing_matrix(g, delta_mu) @ arr
-    return out[:, 0] if squeeze else out
-
-
-def social_step_variances(
-    post_vars, g: SocialGraph, delta_sigma: float, nu: float
-) -> np.ndarray:
-    """Mix post-Bayes variances with in-neighbors and add the inflation nu.
-
-    Results are clamped up to ``VARIANCE_FLOOR``; a non-positive pre-clamp
-    value is possible only for extreme delta_sigma and is logged.
-    """
-    arr, squeeze = _as_agent_mode(post_vars, g.n, "post_vars")
-    out = _mixing_matrix(g, delta_sigma) @ arr + nu
-    bad = int(np.count_nonzero(out <= 0.0))
-    if bad:
-        log.warning("social variance step clamped %d non-positive values", bad)
-    out = np.maximum(out, VARIANCE_FLOOR)
-    return out[:, 0] if squeeze else out
-
-
-def _geometric_weights(post_weights: np.ndarray, mix: np.ndarray) -> tuple[np.ndarray, int]:
-    """Log-space geometric weight mixing; returns (weights, degenerate rows)."""
-    floored = np.maximum(post_weights, GEOMETRIC_WEIGHT_FLOOR)
-    log_w = np.log(floored)
-    mixed = mix @ log_w
-    return _normalize_log_weights(mixed)
-
-
-def social_step_weights(post_weights, g: SocialGraph, policy: PolicyConfig) -> np.ndarray:
-    """Apply the configured weight policy to post-Bayes weights.
-
-    identity: unchanged. geometric: each weight is multiplied by the product
-    of neighbor/own weight ratios raised to the edge weights, then the agent's
-    weights are renormalized; computed in log space with a 1e-300 floor.
-    """
-    arr, squeeze = _as_agent_mode(post_weights, g.n, "post_weights")
-    if policy.weight_policy == "identity":
-        out = arr.copy()
-    else:
-        out, degenerate = _geometric_weights(arr, _mixing_matrix(g, 1.0))
-        if degenerate:
-            log.warning("geometric weight step hit %d degenerate rows", degenerate)
-    return out[:, 0] if squeeze else out
-
-
 def _states_to_arrays(
     states: Sequence[AgentState],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -333,89 +260,6 @@ def _states_to_arrays(
     stubborn = np.array([s.stubborn for s in states], dtype=bool)
     values = np.array([s.stubborn_value for s in states], dtype=float)
     return means, variances, weights, stubborn, values
-
-
-def _arrays_to_states(
-    means: np.ndarray,
-    variances: np.ndarray,
-    weights: np.ndarray,
-    stubborn: np.ndarray,
-    values: np.ndarray,
-) -> list[AgentState]:
-    return [
-        AgentState(
-            belief=GaussianMixtureBelief.from_arrays(
-                means[j], variances[j], weights[j]
-            ),
-            stubborn=bool(stubborn[j]),
-            stubborn_value=float(values[j]),
-        )
-        for j in range(means.shape[0])
-    ]
-
-
-class _Engine:
-    """Precomputed per-run state for the stacked-array step."""
-
-    def __init__(
-        self,
-        g: SocialGraph,
-        policy: PolicyConfig,
-        obs: ObservationModel,
-        gain_mode: str,
-        sigma_inf: float | None,
-    ) -> None:
-        if gain_mode not in GAIN_MODES:
-            raise InvalidParameterError(
-                f"gain_mode must be one of {GAIN_MODES}, got {gain_mode!r}"
-            )
-        if gain_mode == "steady":
-            if sigma_inf is None:
-                raise InvalidParameterError(
-                    "steady gain mode needs sigma_inf (see sigma_fixed_point)"
-                )
-            if sigma_inf < 0.0:
-                raise InvalidParameterError(f"sigma_inf must be >= 0, got {sigma_inf}")
-        self.g = g
-        self.policy = policy
-        self.obs = obs
-        self.gain_mode = gain_mode
-        self.sigma_inf = sigma_inf
-        self.mix_mu = _mixing_matrix(g, policy.delta_mu)
-        self.mix_sigma = _mixing_matrix(g, policy.delta_sigma)
-        self.mix_alpha = _mixing_matrix(g, 1.0)
-
-    def advance(self, means, variances, weights, stubborn, values, y, stats):
-        if self.gain_mode == "steady":
-            post_means, post_weights, degenerate = _bayes_arrays_steady(
-                means, weights, y, self.sigma_inf, self.obs.sigma_y
-            )
-            post_vars = variances
-        else:
-            post_means, post_vars, post_weights, degenerate = _bayes_arrays_exact(
-                means, variances, weights, y, self.obs.sigma_y
-            )
-        stats.weight_degeneracies += degenerate
-
-        new_means = self.mix_mu @ post_means
-        if self.gain_mode == "steady":
-            new_vars = post_vars
-        else:
-            new_vars = self.mix_sigma @ post_vars + self.policy.nu
-            bad = int(np.count_nonzero(new_vars <= 0.0))
-            if bad:
-                stats.variance_clamps += bad
-                new_vars = np.maximum(new_vars, VARIANCE_FLOOR)
-        if self.policy.weight_policy == "geometric":
-            new_weights, degenerate = _geometric_weights(post_weights, self.mix_alpha)
-            stats.weight_degeneracies += degenerate
-        else:
-            new_weights = post_weights
-
-        if stubborn.any():
-            new_means[stubborn, :] = values[stubborn, None]
-        post = (post_means, post_vars, post_weights)
-        return new_means, new_vars, new_weights, post
 
 
 def _draw_step_observation(
@@ -445,26 +289,24 @@ def step(
 ) -> tuple[list[AgentState], float]:
     """Advance every agent one step; returns (new states, observation).
 
-    Order inside the step: draw y, Bayesian-update all agents (stubborn ones
-    included), social-mix means/variances/weights off the post-Bayes values,
-    then overwrite stubborn agents' mode means with their pinned value.
+    This is one :func:`simulate` step with a shared observation, so the
+    order, the gain modes and the guards are those of :func:`simulate`.
     """
-    means, variances, weights, stubborn, values = _states_to_arrays(states)
-    if len(states) != g.n:
-        raise InvalidParameterError(
-            f"graph has {g.n} nodes but {len(states)} states were given"
-        )
-    engine = _Engine(g, policy, obs, gain_mode, sigma_inf)
-    y = _draw_step_observation(obs, rng, g.n, "shared", noise_free)
-    stats = RunStats()
-    new_means, new_vars, new_weights, _ = engine.advance(
-        means, variances, weights, stubborn, values, y, stats
+    rec = simulate(
+        states, g, policy, obs, 1, rng,
+        gain_mode=gain_mode, sigma_inf=sigma_inf, noise_free=noise_free,
     )
-    if stats.variance_clamps:
-        log.warning("step clamped %d variances", stats.variance_clamps)
-    if stats.weight_degeneracies:
-        log.warning("step hit %d weight degeneracies", stats.weight_degeneracies)
-    return _arrays_to_states(new_means, new_vars, new_weights, stubborn, values), float(y)
+    new_states = [
+        AgentState(
+            belief=GaussianMixtureBelief.from_arrays(
+                rec.means[0, j], rec.variances[0, j], rec.weights[0, j]
+            ),
+            stubborn=s.stubborn,
+            stubborn_value=s.stubborn_value,
+        )
+        for j, s in enumerate(states)
+    ]
+    return new_states, float(rec.observations[0])
 
 
 def simulate(
@@ -479,7 +321,6 @@ def simulate(
     sigma_inf: float | None = None,
     observation: str = "shared",
     noise_free: bool = False,
-    retain_intermediate: bool = False,
 ) -> TrajectoryRecord:
     """Run the engine `horizon` steps from the given initial states.
 
@@ -487,6 +328,7 @@ def simulate(
     after steps 1..horizon. With observation="independent" each agent draws
     its own y per step (an off-contract exploration variant; the shared draw
     is what the linear theory models). noise_free pins every draw at theta.
+    A run whose guards fired logs one warning with their counts.
     """
     if horizon < 1:
         raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
@@ -494,49 +336,76 @@ def simulate(
         raise InvalidParameterError(
             f"observation must be 'shared' or 'independent', got {observation!r}"
         )
+    if gain_mode not in GAIN_MODES:
+        raise InvalidParameterError(
+            f"gain_mode must be one of {GAIN_MODES}, got {gain_mode!r}"
+        )
     means, variances, weights, stubborn, values = _states_to_arrays(states)
     if len(states) != g.n:
         raise InvalidParameterError(
             f"graph has {g.n} nodes but {len(states)} states were given"
         )
-    engine = _Engine(g, policy, obs, gain_mode, sigma_inf)
-    if gain_mode == "steady":
-        variances = np.full_like(variances, engine.sigma_inf)
+    steady = gain_mode == "steady"
+    if steady:
+        if sigma_inf is None:
+            raise InvalidParameterError(
+                "steady gain mode needs sigma_inf (see sigma_fixed_point)"
+            )
+        if sigma_inf < 0.0:
+            raise InvalidParameterError(f"sigma_inf must be >= 0, got {sigma_inf}")
+        variances = np.full_like(variances, sigma_inf)
+    geometric = policy.weight_policy == "geometric"
+    any_stubborn = bool(stubborn.any())
+    mix_mu = _mixing_matrix(g, policy.delta_mu)
+    mix_sigma = None if steady else _mixing_matrix(g, policy.delta_sigma)
+    mix_alpha = _mixing_matrix(g, 1.0) if geometric else None
 
     n, m = means.shape
     rec_means = np.empty((horizon, n, m))
     rec_vars = np.empty((horizon, n, m))
     rec_weights = np.empty((horizon, n, m))
     rec_obs = np.empty(horizon) if observation == "shared" else np.empty((horizon, n))
-    keep = retain_intermediate
-    rec_post = (
-        (np.empty((horizon, n, m)), np.empty((horizon, n, m)), np.empty((horizon, n, m)))
-        if keep
-        else None
-    )
     stats = RunStats()
 
     for k in range(horizon):
         y = _draw_step_observation(obs, rng, n, observation, noise_free)
-        means, variances, weights, post = engine.advance(
-            means, variances, weights, stubborn, values, y, stats
-        )
+        if steady:
+            post_means, weights, degenerate = _bayes_arrays_steady(
+                means, weights, y, sigma_inf, obs.sigma_y
+            )
+        else:
+            post_means, post_vars, weights, degenerate = _bayes_arrays_exact(
+                means, variances, weights, y, obs.sigma_y
+            )
+            variances = mix_sigma @ post_vars + policy.nu
+            bad = int(np.count_nonzero(variances <= 0.0))
+            if bad:
+                stats.variance_clamps += bad
+                variances = np.maximum(variances, VARIANCE_FLOOR)
+        stats.weight_degeneracies += degenerate
+        means = mix_mu @ post_means
+        if geometric:
+            log_w = np.log(np.maximum(weights, GEOMETRIC_WEIGHT_FLOOR))
+            weights, degenerate = _normalize_log_weights(mix_alpha @ log_w)
+            stats.weight_degeneracies += degenerate
+        if any_stubborn:
+            means[stubborn, :] = values[stubborn, None]
         rec_means[k] = means
         rec_vars[k] = variances
         rec_weights[k] = weights
         rec_obs[k] = y
-        if keep:
-            rec_post[0][k], rec_post[1][k], rec_post[2][k] = post
 
+    if stats.variance_clamps or stats.weight_degeneracies:
+        log.warning(
+            "run of %d steps: %d variance clamps, %d weight degeneracies",
+            horizon, stats.variance_clamps, stats.weight_degeneracies,
+        )
     record = TrajectoryRecord(
         means=rec_means,
         variances=rec_vars,
         weights=rec_weights,
         observations=rec_obs,
         stats=stats,
-        post_means=rec_post[0] if keep else None,
-        post_variances=rec_post[1] if keep else None,
-        post_weights=rec_post[2] if keep else None,
     )
     record.validate()
     return record

@@ -262,6 +262,11 @@ def in_weight_diagonal(g: SocialGraph) -> np.ndarray:
     return np.diag(g.in_weight_sums())
 
 
+def _mixing_matrix(g: SocialGraph, rate: float) -> np.ndarray:
+    """I + rate * (W^T - D): one in-neighbor averaging step on stacked columns."""
+    return np.eye(g.n) + rate * (g.weights.T - in_weight_diagonal(g))
+
+
 @dataclass(frozen=True)
 class SystemMatrices:
     """Linear form of the mean dynamics: mu[k+1] = A mu[k] + B 1 y[k].
@@ -275,12 +280,10 @@ class SystemMatrices:
     A: np.ndarray
     B: np.ndarray
     sigma_scalar: float
-    D: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "A", _frozen_array(self.A))
         object.__setattr__(self, "B", _frozen_array(self.B))
-        object.__setattr__(self, "D", _frozen_array(self.D))
 
 
 def build_system_matrices(
@@ -300,13 +303,10 @@ def build_system_matrices(
     if delta_mu < 0.0:
         raise InvalidParameterError(f"delta_mu must be >= 0, got {delta_mu}")
     scalar = sigma_y / (sigma_inf + sigma_y)
-    d_vec = g.in_weight_sums()
-    inner = np.eye(g.n) + delta_mu * (g.weights.T - np.diag(d_vec))
     return SystemMatrices(
-        A=scalar * inner,
+        A=scalar * _mixing_matrix(g, delta_mu),
         B=(1.0 - scalar) * np.eye(g.n),
         sigma_scalar=scalar,
-        D=np.diag(d_vec),
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for the step engine, social mixing policies, and trajectories."""
 
+import hashlib
+import itertools
 import logging
 
 import numpy as np
@@ -16,11 +18,11 @@ from gmop import (
     bayes_update,
     build_system_matrices,
     draw_observation,
+    assign_random_weights,
+    generate_watts_strogatz,
+    normalize_in_weights,
     sigma_fixed_point,
     simulate,
-    social_step_means,
-    social_step_variances,
-    social_step_weights,
     step,
 )
 from gmop.dynamics import VARIANCE_FLOOR
@@ -82,72 +84,112 @@ def test_draw_observation_sample_variance():
 
 
 # ---------------------------------------------------------------------------
-# social mixing: means
+# social mixing, observed through the engine
+#
+# With steady gain at sigma_inf = 0 the Bayesian stage leaves means untouched
+# (gain 0), so one step on means is pure social mixing. Elsewhere the
+# post-Bayes values come from bayes_update, the per-agent oracle.
+
+
+def mixed_means(means_rows, g, delta_mu=0.6) -> np.ndarray:
+    rec = simulate(
+        uniform_states(means_rows),
+        g,
+        plain_policy(delta_mu=delta_mu),
+        ObservationModel(theta=1.0, sigma_y=0.1),
+        horizon=1,
+        rng=rng(0),
+        gain_mode="steady",
+        sigma_inf=0.0,
+        noise_free=True,
+    )
+    return rec.means[0]
+
+
+def one_exact_step(states, g, policy, obs=ObservationModel(theta=1.0, sigma_y=0.1)):
+    """One noise-free exact-gain step; returns (record, post-Bayes beliefs)."""
+    rec = simulate(states, g, policy, obs, horizon=1, rng=rng(0), noise_free=True)
+    post = [bayes_update(s.belief, obs.theta, obs.sigma_y)[0] for s in states]
+    return rec, post
+
+
+def weighted_states(weight_rows, means=(0.0, 2.0)) -> list[AgentState]:
+    return [
+        AgentState(
+            belief=GaussianMixtureBelief.from_arrays(means, [1.0] * len(means), w)
+        )
+        for w in weight_rows
+    ]
 
 
 def test_social_means_consensus_is_fixed_point():
-    g = two_node_graph(0.7)
-    out = social_step_means(np.array([1.3, 1.3]), g, delta_mu=0.6)
-    np.testing.assert_allclose(out, [1.3, 1.3], atol=1e-15)
+    out = mixed_means([[1.3], [1.3]], two_node_graph(0.7))
+    np.testing.assert_allclose(out[:, 0], [1.3, 1.3], atol=1e-15)
 
 
 def test_social_means_hand_example():
-    out = social_step_means(np.array([0.0, 1.0]), two_node_graph(1.0), delta_mu=0.6)
-    np.testing.assert_allclose(out, [0.6, 0.4], atol=1e-15)
+    out = mixed_means([[0.0], [1.0]], two_node_graph(1.0))
+    np.testing.assert_allclose(out[:, 0], [0.6, 0.4], atol=1e-15)
 
 
 def test_social_means_modes_mix_independently():
     g = two_node_graph(1.0)
-    stacked = np.array([[0.0, 5.0], [1.0, 7.0]])
-    out = social_step_means(stacked, g, delta_mu=0.6)
-    col0 = social_step_means(stacked[:, 0], g, delta_mu=0.6)
-    col1 = social_step_means(stacked[:, 1], g, delta_mu=0.6)
-    np.testing.assert_allclose(out[:, 0], col0, atol=0.0)
-    np.testing.assert_allclose(out[:, 1], col1, atol=0.0)
+    out = mixed_means([[0.0, 5.0], [1.0, 7.0]], g)
+    col0 = mixed_means([[0.0], [1.0]], g)
+    col1 = mixed_means([[5.0], [7.0]], g)
+    np.testing.assert_array_equal(out[:, :1], col0)
+    np.testing.assert_array_equal(out[:, 1:], col1)
 
 
 def test_social_means_only_in_neighbors_count():
     g = SocialGraph.from_edges(2, [(1, 2, 1.0)])  # 1 influences 2, not back
-    out = social_step_means(np.array([0.0, 1.0]), g, delta_mu=0.5)
-    np.testing.assert_allclose(out, [0.0, 0.5], atol=1e-15)
+    out = mixed_means([[0.0], [1.0]], g, delta_mu=0.5)
+    np.testing.assert_allclose(out[:, 0], [0.0, 0.5], atol=1e-15)
 
 
-def test_social_means_rejects_wrong_row_count():
-    with pytest.raises(InvalidParameterError):
-        social_step_means(np.zeros(3), two_node_graph(), delta_mu=0.5)
-
-
-# ---------------------------------------------------------------------------
-# social mixing: variances
+def consensus_variances(nu: float) -> tuple[np.ndarray, float]:
+    rec, post = one_exact_step(
+        uniform_states([[0.5], [0.5]], variance=2.0),
+        two_node_graph(0.4),
+        plain_policy(delta_sigma=0.1, nu=nu),
+    )
+    return rec.variances[0, :, 0], post[0].variances[0]
 
 
 def test_social_variances_consensus_gains_nu():
-    g = two_node_graph(0.4)
-    out = social_step_variances(np.array([2.0, 2.0]), g, delta_sigma=0.1, nu=0.1)
-    np.testing.assert_allclose(out, [2.1, 2.1], atol=1e-15)
+    out, post = consensus_variances(nu=0.1)
+    np.testing.assert_allclose(out, [post + 0.1] * 2, atol=1e-15)
 
 
 def test_social_variances_consensus_zero_nu_unchanged():
-    g = two_node_graph(0.4)
-    out = social_step_variances(np.array([2.0, 2.0]), g, delta_sigma=0.1, nu=0.0)
-    np.testing.assert_allclose(out, [2.0, 2.0], atol=1e-15)
+    out, post = consensus_variances(nu=0.0)
+    np.testing.assert_allclose(out, [post] * 2, atol=1e-15)
 
 
 def test_social_variances_hand_example():
-    out = social_step_variances(
-        np.array([1.0, 2.0]), two_node_graph(1.0), delta_sigma=0.1, nu=0.1
+    states = uniform_states([[0.5], [0.5]], variance=1.0)
+    states[1] = uniform_states([[0.5]], variance=2.0)[0]
+    rec, post = one_exact_step(
+        states, two_node_graph(1.0), plain_policy(delta_sigma=0.1, nu=0.1)
     )
-    np.testing.assert_allclose(out, [1.2, 2.0], atol=1e-15)
+    v1, v2 = post[0].variances[0], post[1].variances[0]
+    expected = [v1 + 0.1 * (v2 - v1) + 0.1, v2 + 0.1 * (v1 - v2) + 0.1]
+    np.testing.assert_allclose(rec.variances[0, :, 0], expected, atol=1e-15)
 
 
 def test_social_variances_clamp_logged(caplog):
+    states = uniform_states([[0.5], [0.5]], variance=0.001)
+    states[1] = uniform_states([[0.5]], variance=10.0)[0]
     with caplog.at_level(logging.WARNING, logger="gmop.dynamics"):
-        out = social_step_variances(
-            np.array([0.001, 10.0]), two_node_graph(1.0), delta_sigma=5.0, nu=0.0
+        rec, _ = one_exact_step(
+            states,
+            two_node_graph(1.0),
+            plain_policy(delta_sigma=5.0, nu=0.0),
+            ObservationModel(theta=1.0, sigma_y=10.0),
         )
-    assert out[1] == VARIANCE_FLOOR
-    assert np.all(out > 0.0)
-    assert any("clamped" in r.message for r in caplog.records)
+    assert rec.variances[0, 1, 0] == VARIANCE_FLOOR
+    assert np.all(rec.variances > 0.0)
+    assert any("1 variance clamps" in r.getMessage() for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------
@@ -155,36 +197,36 @@ def test_social_variances_clamp_logged(caplog):
 
 
 def test_weight_identity_policy_returns_input():
-    g = two_node_graph(1.0)
-    weights = np.array([[0.3, 0.7], [0.9, 0.1]])
-    out = social_step_weights(weights, g, plain_policy())
-    np.testing.assert_array_equal(out, weights)
-    assert out is not weights  # caller's array must stay untouched
+    states = weighted_states([[0.3, 0.7], [0.9, 0.1]])
+    rec, post = one_exact_step(states, two_node_graph(1.0), plain_policy())
+    np.testing.assert_array_equal(rec.weights[0], [b.weights for b in post])
 
 
 def test_weight_geometric_shared_vector_is_fixed_point():
-    g = two_node_graph(0.8)
-    weights = np.array([[0.3, 0.7], [0.3, 0.7]])
-    out = social_step_weights(weights, g, plain_policy(weight_policy="geometric"))
-    np.testing.assert_allclose(out, weights, atol=1e-15)
+    states = weighted_states([[0.3, 0.7], [0.3, 0.7]])
+    rec, post = one_exact_step(
+        states, two_node_graph(0.8), plain_policy(weight_policy="geometric")
+    )
+    np.testing.assert_allclose(rec.weights[0], [post[0].weights] * 2, atol=1e-15)
 
 
 def test_weight_geometric_hand_example():
     # Single edge 1 -> 2 with weight 1: agent 2 copies agent 1's ratios.
     g = SocialGraph.from_edges(2, [(1, 2, 1.0)])
-    weights = np.array([[0.5, 0.5], [0.9, 0.1]])
-    out = social_step_weights(weights, g, plain_policy(weight_policy="geometric"))
-    np.testing.assert_allclose(out[1], [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(out[0], [0.5, 0.5], atol=1e-15)
+    states = weighted_states([[0.5, 0.5], [0.9, 0.1]])
+    rec, post = one_exact_step(states, g, plain_policy(weight_policy="geometric"))
+    np.testing.assert_allclose(rec.weights[0, 1], post[0].weights, atol=1e-12)
+    np.testing.assert_allclose(rec.weights[0, 0], post[0].weights, atol=1e-15)
 
 
 def test_weight_geometric_survives_exact_zero():
-    g = two_node_graph(1.0)
-    weights = np.array([[1.0, 0.0], [0.5, 0.5]])
-    out = social_step_weights(weights, g, plain_policy(weight_policy="geometric"))
-    sums = out.sum(axis=1)
-    np.testing.assert_allclose(sums, [1.0, 1.0], atol=1e-12)
-    assert np.all(out >= 0.0)
+    states = weighted_states([[1.0, 0.0], [0.5, 0.5]])
+    rec, post = one_exact_step(
+        states, two_node_graph(1.0), plain_policy(weight_policy="geometric")
+    )
+    assert post[0].weights[1] == 0.0
+    np.testing.assert_allclose(rec.weights[0].sum(axis=1), [1.0, 1.0], atol=1e-12)
+    assert np.all(rec.weights[0] >= 0.0)
 
 
 def test_policy_config_validation():
@@ -257,6 +299,21 @@ def test_step_matches_linear_system_in_steady_mode():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def test_step_freezes_variances_at_sigma_inf_in_steady_mode():
+    si = sigma_fixed_point(0.1, 0.1)
+    new_states, _ = step(
+        uniform_states([[0.3, 0.5], [-0.8, 0.1]], variance=1.0),
+        two_node_graph(0.5),
+        plain_policy(),
+        ObservationModel(theta=1.0, sigma_y=0.1),
+        rng(0),
+        gain_mode="steady",
+        sigma_inf=si,
+    )
+    for s in new_states:
+        assert s.belief.variances == (si, si)
+
+
 def test_step_rejects_state_count_mismatch():
     with pytest.raises(InvalidParameterError):
         step(
@@ -299,6 +356,22 @@ def test_simulate_rejects_zero_horizon():
             horizon=0,
             rng=rng(1),
         )
+
+
+def test_simulate_rejects_bad_gain_settings():
+    args = (
+        uniform_states([[0.0], [1.0]]),
+        two_node_graph(),
+        plain_policy(),
+        ObservationModel(theta=1.0, sigma_y=0.1),
+    )
+    for kwargs in (
+        dict(gain_mode="other"),
+        dict(gain_mode="steady"),
+        dict(gain_mode="steady", sigma_inf=-0.1),
+    ):
+        with pytest.raises(InvalidParameterError):
+            simulate(*args, horizon=1, rng=rng(1), **kwargs)
 
 
 def test_simulate_identical_seeds_identical_records():
@@ -376,7 +449,7 @@ def test_simulate_stubborn_means_pinned_every_step():
     np.testing.assert_array_equal(rec.means[:, 0, :], -1.0)
 
 
-def test_simulate_counts_variance_clamps():
+def test_simulate_counts_variance_clamps(caplog):
     g = two_node_graph(1.0)
     # Hugely unequal spreads plus an aggressive mixing rate drive the wide
     # agent's variance negative before the clamp.
@@ -392,15 +465,20 @@ def test_simulate_counts_variance_clamps():
             stubborn_value=0.0,
         ),
     ]
-    rec = simulate(
-        states,
-        g,
-        plain_policy(delta_sigma=5.0, nu=0.0),
-        ObservationModel(theta=1.0, sigma_y=10.0),
-        horizon=5,
-        rng=rng(8),
-    )
-    assert rec.stats.variance_clamps > 0
+    with caplog.at_level(logging.WARNING, logger="gmop.dynamics"):
+        rec = simulate(
+            states,
+            g,
+            plain_policy(delta_sigma=5.0, nu=0.0),
+            ObservationModel(theta=1.0, sigma_y=10.0),
+            horizon=5,
+            rng=rng(8),
+        )
+    clamps = rec.stats.variance_clamps
+    assert clamps > 0
+    warnings = [r for r in caplog.records if r.name == "gmop.dynamics"]
+    assert len(warnings) == 1
+    assert f"{clamps} variance clamps" in warnings[0].getMessage()
 
 
 def test_simulate_independent_observations_shape():
@@ -418,24 +496,93 @@ def test_simulate_independent_observations_shape():
     assert rec.observation_for(1, 1) != rec.observation_for(1, 2)
 
 
-def test_simulate_retains_post_bayes_intermediates_on_request():
+def test_simulate_step_is_bayes_update_then_mixing():
     g = two_node_graph(0.5)
+    sigma_y, r_mu, r_sigma, nu = 0.1, 0.6 * 0.5, 0.1 * 0.5, 0.1
+    states = uniform_states([[0.0], [1.0]])
     rec = simulate(
-        uniform_states([[0.0], [1.0]]),
+        states,
         g,
         plain_policy(),
-        ObservationModel(theta=1.0, sigma_y=0.1),
+        ObservationModel(theta=1.0, sigma_y=sigma_y),
         horizon=3,
         rng=rng(10),
-        retain_intermediate=True,
     )
-    assert rec.post_means is not None
-    assert rec.post_means.shape == rec.means.shape
-    # The social mean step applied to the retained intermediates reproduces
-    # the recorded post-social means.
+    beliefs = [s.belief for s in states]
     for k in range(rec.n_steps):
-        mixed = social_step_means(rec.post_means[k], g, delta_mu=0.6)
-        np.testing.assert_allclose(rec.means[k], mixed, atol=1e-12)
+        post = [bayes_update(b, rec.observations[k], sigma_y)[0] for b in beliefs]
+        (m1,), (m2,) = (b.means for b in post)
+        (v1,), (v2,) = (b.variances for b in post)
+        np.testing.assert_allclose(
+            rec.means[k, :, 0],
+            [m1 + r_mu * (m2 - m1), m2 + r_mu * (m1 - m2)],
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            rec.variances[k, :, 0],
+            [v1 + r_sigma * (v2 - v1) + nu, v2 + r_sigma * (v1 - v2) + nu],
+            atol=1e-12,
+        )
+        beliefs = [
+            GaussianMixtureBelief.from_arrays(
+                rec.means[k, j], rec.variances[k, j], rec.weights[k, j]
+            )
+            for j in range(2)
+        ]
+
+
+# ---------------------------------------------------------------------------
+# golden engine records
+#
+# SHA-256 of the recorded means, variances and weights of 200-step n = 50 runs
+# over every gain mode, weight policy and stubbornness setting. A change to
+# the engine that moves any recorded bit fails here.
+
+GOLDEN_ENGINE_DIGESTS = {
+    ("exact", "identity", False): "3901fbf405f8c875ac3b326776310a784fbf18b46878f7f4531cdb184599d4a7",
+    ("exact", "identity", True): "af12f66102b858292af301d1f38eb4fd01c33761d3d8a68fa36b1e069b64a7a5",
+    ("exact", "geometric", False): "6fb7eb6e0d7472e2272a18ced32e90f97ca465b2816bbad06c568efd54b20759",
+    ("exact", "geometric", True): "5815059f0b6c97baca5450967b3c0ce340d78ed07a5e82aefdd19329ef7a6bb6",
+    ("steady", "identity", False): "4681f28ee24ef51e9113ea1cdbbc62d4dbbd745489a32d4710c602bda5c70008",
+    ("steady", "identity", True): "6dc626cdf2c9f391ff7c55420a8e3f39b35cc92c0f06448038f04f964b66c39a",
+    ("steady", "geometric", False): "e3465f78b3242c3d0579be658dc61feee03a60eef0eb70bdad2760f6a4e4a6a1",
+    ("steady", "geometric", True): "7f175d94c2136266f84ec2026af16aec40a36bdd011d37dc9600a6a30ef5fe2d",
+}
+
+
+@pytest.mark.parametrize(
+    "gain_mode,weight_policy,stubborn",
+    list(itertools.product(("exact", "steady"), ("identity", "geometric"), (False, True))),
+)
+def test_simulate_matches_golden_digest(gain_mode, weight_policy, stubborn):
+    r = rng(2024)
+    g = normalize_in_weights(
+        assign_random_weights(generate_watts_strogatz(50, 4, 0.1, r), r)
+    )
+    states = [
+        AgentState(
+            belief=GaussianMixtureBelief.from_arrays(row, [1.0, 1.0], [0.3, 0.7])
+        )
+        for row in r.normal(size=(50, 2))
+    ]
+    if stubborn:
+        states[0] = AgentState(
+            belief=states[0].belief, stubborn=True, stubborn_value=-1.0
+        )
+    rec = simulate(
+        states,
+        g,
+        plain_policy(weight_policy=weight_policy),
+        ObservationModel(theta=1.0, sigma_y=0.1),
+        horizon=200,
+        rng=rng(7),
+        gain_mode=gain_mode,
+        sigma_inf=sigma_fixed_point(0.1, 0.1),
+    )
+    digest = hashlib.sha256()
+    for arr in (rec.means, rec.variances, rec.weights):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == GOLDEN_ENGINE_DIGESTS[gain_mode, weight_policy, stubborn]
 
 
 # ---------------------------------------------------------------------------
