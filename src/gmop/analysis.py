@@ -14,15 +14,16 @@ agent has over the network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InstabilityError, InvalidParameterError, NumericalError
 from .network import (
     SocialGraph,
-    build_system_matrices,
+    _mean_operator,
     check_row_sum_condition,
     spectral_radius,
 )
@@ -89,18 +90,19 @@ def verify_covariance_fixed_point(
 
 
 def _partition(
-    g: SocialGraph, delta_mu: float, sigma_inf: float, sigma_y: float, stubborn_id: int
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Split A into the malleable block and the stubborn column."""
-    if not (1 <= stubborn_id <= g.n):
+    a: sparse.csr_array, stubborn_id: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the CSR A into the dense malleable block and the stubborn column."""
+    n = a.shape[0]
+    if not (1 <= stubborn_id <= n):
         raise InvalidParameterError(
-            f"stubborn node must lie in [1, {g.n}], got {stubborn_id}"
+            f"stubborn node must lie in [1, {n}], got {stubborn_id}"
         )
-    mats = build_system_matrices(g, delta_mu, sigma_inf, sigma_y)
-    keep = np.array([j for j in range(g.n) if j != stubborn_id - 1])
-    a_sub = mats.A[np.ix_(keep, keep)]
-    a_col = mats.A[keep, stubborn_id - 1]
-    return a_sub, a_col, mats.sigma_scalar, keep
+    keep = np.delete(np.arange(n), stubborn_id - 1)
+    rows = a[keep]
+    a_sub = rows[:, keep].toarray()
+    a_col = rows[:, [stubborn_id - 1]].toarray()[:, 0]
+    return a_sub, a_col, keep
 
 
 def stubborn_equilibrium(
@@ -121,9 +123,8 @@ def stubborn_equilibrium(
     Raises InstabilityError when the reduced block's spectral radius reaches
     one, and NumericalError (with a condition estimate) if the solve fails.
     """
-    a_sub, a_col, sigma_scalar, _ = _partition(
-        g, delta_mu, sigma_inf, sigma_y, stubborn_id
-    )
+    a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
+    a_sub, a_col, _ = _partition(a, stubborn_id)
     return _pinned_solve(
         a_sub, a_col, sigma_scalar, spectral_radius(a_sub), mu_dagger, theta
     )
@@ -189,13 +190,20 @@ class TheoryPrediction:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Hypothesis checks for the convergence results."""
+    """Hypothesis checks for the convergence results.
+
+    ``system`` holds the CSR A the radii came from and its sigma_scalar, so
+    a prediction made from this report reuses that build.
+    """
 
     spectral_radius: float
     stubborn_spectral_radius: float | None
     row_sum_residual: float
     sigma_inf: float
     conditions: dict
+    system: tuple[sparse.csr_array, float] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -230,14 +238,14 @@ def stability_report(
     for s in stubborn:
         if not (1 <= s <= g.n):
             raise InvalidParameterError(f"stubborn node {s} outside [1, {g.n}]")
-    mats = build_system_matrices(g, delta_mu, sigma_inf, sigma_y)
-    rho = spectral_radius(mats.A)
+    a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
+    rho = spectral_radius(a)
     residual = check_row_sum_condition(g)
     stub_rho: float | None = None
     if stubborn:
-        keep = np.array([j for j in range(g.n) if j + 1 not in stubborn])
+        keep = np.delete(np.arange(g.n), np.array(stubborn) - 1)
         if keep.size:
-            stub_rho = spectral_radius(mats.A[np.ix_(keep, keep)])
+            stub_rho = spectral_radius(a[keep][:, keep])
     conditions = {
         "row_sum_ok": residual <= ROW_SUM_TOL,
         "spectral_ok": rho < 1.0,
@@ -251,6 +259,7 @@ def stability_report(
         row_sum_residual=residual,
         sigma_inf=sigma_inf,
         conditions=conditions,
+        system=(a, sigma_scalar),
     )
 
 
@@ -277,28 +286,26 @@ def predict(
         sigma_y,
         stubborn=() if stubborn_id is None else (stubborn_id,),
     )
-    return _predict_from_report(
-        g, report, delta_mu, sigma_y, theta, stubborn_id, mu_dagger
-    )
+    return _predict_from_report(report, sigma_y, theta, stubborn_id, mu_dagger)
 
 
 def _predict_from_report(
-    g: SocialGraph, report: StabilityReport, delta_mu: float, sigma_y: float,
-    theta: float, stubborn_id: int | None, mu_dagger: float | None,
+    report: StabilityReport, sigma_y: float, theta: float,
+    stubborn_id: int | None, mu_dagger: float | None,
 ) -> TheoryPrediction:
     """Body of :func:`predict` after its stability report.
 
     The report must pin exactly stubborn_id; its reduced-block radius gates
-    the pinned solve, so no second eigensolve runs.
+    the pinned solve and its system is the A partitioned, so neither the
+    eigensolve nor the build runs twice.
     """
     sigma_inf = report.sigma_inf
-    limit_mean, c = asymptotic_mean_cov(theta, sigma_y, sigma_inf, g.n)
+    a, sigma_scalar = report.system
+    limit_mean, c = asymptotic_mean_cov(theta, sigma_y, sigma_inf, a.shape[0])
     if stubborn_id is not None:
         if mu_dagger is None:
             raise InvalidParameterError("mu_dagger required with a stubborn agent")
-        a_sub, a_col, sigma_scalar, keep = _partition(
-            g, delta_mu, sigma_inf, sigma_y, stubborn_id
-        )
+        a_sub, a_col, keep = _partition(a, stubborn_id)
         gamma = _pinned_solve(
             a_sub, a_col, sigma_scalar, report.stubborn_spectral_radius,
             mu_dagger, theta,

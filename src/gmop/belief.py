@@ -201,13 +201,25 @@ def _normalize_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, int]:
 
     Rows whose every entry is non-finite (all mode numerators underflowed or
     the inputs were degenerate) fall back to uniform weights. Returns the
-    normalized weights and the number of degenerate rows.
+    normalized weights and the number of degenerate rows. When every row's
+    shift is finite, each row's largest numerator is exactly one, so no total
+    can vanish or overflow and the rows are normalized without masking.
     """
     log_w = np.asarray(log_w, dtype=float)
     squeeze = log_w.ndim == 1
     if squeeze:
         log_w = log_w[None, :]
     shift = np.max(log_w, axis=1, keepdims=True)
+    if np.isfinite(shift).all():
+        numer = np.exp(log_w - shift)
+        weights, degenerate = numer / np.sum(numer, axis=1, keepdims=True), 0
+    else:
+        weights, degenerate = _masked_normalize(log_w, shift)
+    return (weights[0] if squeeze else weights), degenerate
+
+
+def _masked_normalize(log_w: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row normalization that sets degenerate rows to uniform weights."""
     bad = ~np.isfinite(shift[:, 0])
     with np.errstate(invalid="ignore"):
         numer = np.exp(log_w - shift)
@@ -219,8 +231,7 @@ def _normalize_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, int]:
         weights[ok] = numer[ok] / total[ok]
     if np.any(bad):
         weights[bad] = 1.0 / log_w.shape[1]
-    result = weights[0] if squeeze else weights
-    return result, int(np.count_nonzero(bad))
+    return weights, int(np.count_nonzero(bad))
 
 
 def _bayes_arrays_exact(means, variances, weights, y, sigma_y):

@@ -158,7 +158,7 @@ def _theory(config: SimulationConfig, g: SocialGraph):
     if gate >= 1.0:
         return report, gate_name, gate, None, None
     prediction = analysis._predict_from_report(
-        g, report, config.policy.delta_mu, config.model.sigma_y, config.model.theta,
+        report, config.model.sigma_y, config.model.theta,
         stubborn_id, config.stubborn.mu_dagger if pinned else None,
     )
     gamma = np.delete(prediction.limit_mean, stubborn_id - 1) if pinned else None

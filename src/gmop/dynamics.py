@@ -5,12 +5,12 @@ One loop in :func:`simulate` is the only implementation of a step, and
 observation of the source, (2) folds it into every agent's mixture belief
 with the Bayesian update, (3) mixes means, variances, and weights with
 in-neighbors through the social policies, all reading post-Bayes values only
-(Jacobi-style, never partially updated neighbors), and (4) overwrites
-stubborn agents' mode means with their pinned value. State is stacked into
-(agents, modes) arrays; the engine is deterministic given the generator
-passed in. Variances that mixing drives non-positive are clamped to
-``VARIANCE_FLOOR``; the clamps and the weight degeneracies are counted in
-``RunStats`` and reported in one warning per run.
+(Jacobi-style, never partially updated neighbors) as products with CSR
+mixing matrices, and (4) overwrites stubborn agents' mode means with their
+pinned value. State is stacked into (agents, modes) arrays; the engine is
+deterministic given the generator passed in. Variances that mixing drives
+non-positive are clamped to ``VARIANCE_FLOOR``; the clamps and the weight
+degeneracies are counted in ``RunStats`` and reported in one warning per run.
 
 Two gain modes exist. The default "exact" mode runs the full per-mode gains
 and variance recursion. The "steady" mode freezes every variance at the

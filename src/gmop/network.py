@@ -11,8 +11,11 @@ linear dynamics are contractive for any mixing rate delta_mu in (0, 1].
 Unnormalized graphs are fully supported; the spectral diagnostics report
 whether their dynamics are stable.
 
-Node ids are 1-based in the public API and the edge-list file format; the
-weight matrix is indexed 0-based with weights[i-1, j-1] = w_ij.
+A graph stores its edges once, as a CSR array; the mixing and mean-update
+operators built from it are CSR too, so memory and work grow with the edge
+count rather than with n^2. Node ids are 1-based in the public API and the
+edge-list file format; the weight matrix is indexed 0-based with
+weights[i-1, j-1] = w_ij.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
+from scipy.sparse import linalg as sparse_linalg
 
 from .errors import InvalidParameterError
 
@@ -54,38 +61,53 @@ def _frozen_array(values: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SocialGraph:
-    """Weighted directed graph on n agents.
+    """Weighted directed graph on n agents, stored as a CSR array.
 
-    ``weights[i, j]`` (0-based) is the weight of the directed edge from agent
-    i+1 to agent j+1; an entry is 0.0 exactly when the edge is absent. The
-    diagonal is identically zero (no self-loops). Instances are immutable.
+    Row i of ``csr`` (0-based) holds the out-edges of agent i+1 with sorted
+    column indices: ``csr[i, j]`` is the weight of the directed edge from
+    agent i+1 to agent j+1. Only present edges are stored, every stored
+    weight is nonzero, and there are no self-loops. The constructor takes
+    the weights as a dense (n, n) array or a scipy sparse matrix; ``weights``
+    is a dense view of them, built on first access. Instances are immutable:
+    the CSR arrays and the dense view are read-only.
     """
 
     n: int
-    weights: np.ndarray
+    csr: sparse.csr_array
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidParameterError(f"n must be positive, got {self.n}")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.n, self.n):
+    def __init__(self, n: int, weights: np.ndarray | sparse.sparray) -> None:
+        if n < 1:
+            raise InvalidParameterError(f"n must be positive, got {n}")
+        if sparse.issparse(weights):
+            w = sparse.csr_array(weights, dtype=float, copy=True)
+            w.sum_duplicates()
+            values = w.data
+        else:
+            w = values = np.asarray(weights, dtype=float)
+        if w.shape != (n, n):
             raise InvalidParameterError(
-                f"weights must have shape ({self.n}, {self.n}), got {w.shape}"
+                f"weights must have shape ({n}, {n}), got {w.shape}"
             )
-        if not np.all(np.isfinite(w)):
+        if not np.all(np.isfinite(values)):
             raise InvalidParameterError("weights must be finite")
-        if np.any(np.diagonal(w) != 0.0):
+        if np.any(w.diagonal() != 0.0):
             raise InvalidParameterError("self-loops are not allowed")
-        object.__setattr__(self, "weights", _frozen_array(w))
+        csr = sparse.csr_array(w)
+        csr.eliminate_zeros()
+        for arr in (csr.data, csr.indices, csr.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "csr", csr)
 
     @classmethod
     def from_edges(
         cls, n: int, edges: Iterable[tuple[int, int, float]]
     ) -> "SocialGraph":
         """Build a graph from (i, j, w_ij) triples with 1-based node ids."""
-        w = np.zeros((n, n), dtype=float)
+        seen: set[tuple[int, int]] = set()
+        rows, cols, values = [], [], []
         for i, j, weight in edges:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise InvalidParameterError(
@@ -93,51 +115,69 @@ class SocialGraph:
                 )
             if i == j:
                 raise InvalidParameterError(f"self-loop on node {i}")
-            if w[i - 1, j - 1] != 0.0:
+            if (i, j) in seen:
                 raise InvalidParameterError(f"duplicate edge ({i}, {j})")
             if weight == 0.0:
                 raise InvalidParameterError(
                     f"edge ({i}, {j}) has zero weight; absent edges are implicit"
                 )
-            w[i - 1, j - 1] = weight
-        return cls(n=n, weights=w)
+            seen.add((i, j))
+            rows.append(i - 1)
+            cols.append(j - 1)
+            values.append(weight)
+        return cls(n=n, weights=_coo(n, rows, cols, values))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Dense read-only (n, n) weights; 0.0 exactly where no edge exists."""
+        return _frozen_array(self.csr.toarray())
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (i, j, w_ij) with 1-based ids in row-major order."""
-        rows, cols = np.nonzero(self.weights)
-        for i, j in zip(rows, cols):
-            yield int(i) + 1, int(j) + 1, float(self.weights[i, j])
+        coo = self.csr.tocoo()
+        for i, j, w in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            yield i + 1, j + 1, w
 
     @property
     def n_edges(self) -> int:
-        return int(np.count_nonzero(self.weights))
+        return int(self.csr.nnz)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return self.weights[i - 1, j - 1] != 0.0
+        return bool(self.csr[i - 1, j - 1] != 0.0)
 
     def in_weight_sums(self) -> np.ndarray:
-        """Vector of incoming-weight sums, one per node."""
-        return self.weights.sum(axis=0)
+        """Vector of incoming-weight sums, one per node, added in row order."""
+        sums = np.bincount(self.csr.indices, weights=self.csr.data, minlength=self.n)
+        return sums.astype(float, copy=False)  # bincount of no edges gives ints
 
     def adjacency(self) -> np.ndarray:
-        """Boolean edge-presence matrix."""
-        return self.weights != 0.0
+        """Dense boolean edge-presence matrix."""
+        return self.csr.toarray() != 0.0
 
     def is_connected(self) -> bool:
         """Weak connectivity of the underlying undirected adjacency."""
-        if self.n == 1:
-            return True
-        adj = self.adjacency() | self.adjacency().T
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            node = stack.pop()
-            for nxt in np.nonzero(adj[node])[0]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(int(nxt))
-        return bool(seen.all())
+        count, _ = csgraph.connected_components(
+            self.csr, directed=True, connection="weak"
+        )
+        return count == 1
+
+
+def _coo(n: int, rows, cols, values) -> sparse.coo_array:
+    """n x n sparse weights with the given 0-based entries."""
+    return sparse.coo_array(
+        (np.asarray(values, dtype=float),
+         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        shape=(n, n),
+    )
+
+
+def _reweighted(g: SocialGraph, values: np.ndarray) -> SocialGraph:
+    """g's edges, in CSR order, carrying new weights."""
+    csr = g.csr
+    return SocialGraph(
+        n=g.n,
+        weights=sparse.csr_array((values, csr.indices, csr.indptr), shape=csr.shape),
+    )
 
 
 def generate_watts_strogatz(
@@ -165,28 +205,35 @@ def generate_watts_strogatz(
         raise InvalidParameterError(f"p_ws must lie in [0, 1], got {p_ws}")
 
     half = k_ws // 2
-    adj = np.zeros((n, n), dtype=bool)
+    neighbors: list[set[int]] = [set() for _ in range(n)]
     for d in range(1, half + 1):
         for i in range(n):
             j = (i + d) % n
-            adj[i, j] = adj[j, i] = True
+            neighbors[i].add(j)
+            neighbors[j].add(i)
 
     for d in range(1, half + 1):
         for i in range(n):
             j = (i + d) % n
-            if not adj[i, j]:
+            if j not in neighbors[i]:
                 continue  # already rewired away as some earlier edge's target
             if rng.random() >= p_ws:
                 continue
-            candidates = np.nonzero(~adj[i])[0]
-            candidates = candidates[candidates != i]
+            free = np.ones(n, dtype=bool)
+            free[list(neighbors[i])] = False
+            free[i] = False
+            candidates = np.flatnonzero(free)
             if candidates.size == 0:
                 continue
             new_j = int(candidates[rng.integers(candidates.size)])
-            adj[i, j] = adj[j, i] = False
-            adj[i, new_j] = adj[new_j, i] = True
+            neighbors[i].discard(j)
+            neighbors[j].discard(i)
+            neighbors[i].add(new_j)
+            neighbors[new_j].add(i)
 
-    return SocialGraph(n=n, weights=adj.astype(float))
+    rows = [i for i in range(n) for _ in neighbors[i]]
+    cols = [j for i in range(n) for j in sorted(neighbors[i])]
+    return SocialGraph(n=n, weights=_coo(n, rows, cols, np.ones(len(rows))))
 
 
 def add_influencer_hub(
@@ -207,18 +254,22 @@ def add_influencer_hub(
     if count == 0:
         return g
     h = hub - 1
-    linked = g.adjacency()[h] | g.adjacency()[:, h]
-    pool = np.array(
-        [v for v in range(g.n) if v != h and not linked[v]], dtype=int
-    )
+    edges = g.csr.tocoo()
+    linked = np.zeros(g.n, dtype=bool)
+    linked[edges.col[edges.row == h]] = True
+    linked[edges.row[edges.col == h]] = True
+    linked[h] = True
+    pool = np.flatnonzero(~linked)
     if pool.size == 0:
         return g
     count = min(count, int(pool.size))
     chosen = rng.choice(pool, size=count, replace=False)
-    w = np.array(g.weights)
-    w[h, chosen] = 1.0
-    w[chosen, h] = 1.0
-    return SocialGraph(n=g.n, weights=w)
+    hub_ids = np.full(count, h)
+    spokes = _coo(
+        g.n, np.concatenate([hub_ids, chosen]), np.concatenate([chosen, hub_ids]),
+        np.ones(2 * count),
+    )
+    return SocialGraph(n=g.n, weights=g.csr + spokes)
 
 
 def assign_random_weights(g: SocialGraph, rng: np.random.Generator) -> SocialGraph:
@@ -229,16 +280,13 @@ def assign_random_weights(g: SocialGraph, rng: np.random.Generator) -> SocialGra
     result for a given generator state. An exact 0.0 draw is redrawn, keeping
     weights in the open interval and edge presence identical to adjacency.
     """
-    w = np.array(g.weights)
-    rows, cols = np.nonzero(w)
-    draws = rng.random(rows.size)
+    draws = rng.random(g.n_edges)
     for idx in np.nonzero(draws == 0.0)[0]:
         value = 0.0
         while value == 0.0:
             value = rng.random()
         draws[idx] = value
-    w[rows, cols] = draws
-    return SocialGraph(n=g.n, weights=w)
+    return _reweighted(g, draws)
 
 
 def normalize_in_weights(g: SocialGraph) -> SocialGraph:
@@ -253,8 +301,7 @@ def normalize_in_weights(g: SocialGraph) -> SocialGraph:
     """
     sums = g.in_weight_sums()
     scale = np.where(sums != 0.0, sums, 1.0)
-    w = np.array(g.weights) / scale[None, :]
-    return SocialGraph(n=g.n, weights=w)
+    return _reweighted(g, g.csr.data / scale[g.csr.indices])
 
 
 def in_weight_diagonal(g: SocialGraph) -> np.ndarray:
@@ -262,9 +309,14 @@ def in_weight_diagonal(g: SocialGraph) -> np.ndarray:
     return np.diag(g.in_weight_sums())
 
 
-def _mixing_matrix(g: SocialGraph, rate: float) -> np.ndarray:
-    """I + rate * (W^T - D): one in-neighbor averaging step on stacked columns."""
-    return np.eye(g.n) + rate * (g.weights.T - in_weight_diagonal(g))
+def _in_laplacian(g: SocialGraph) -> sparse.csr_array:
+    """W^T - D as CSR: row j holds w_lj at column l and -D_jj at column j."""
+    return (g.csr.T - sparse.diags_array(g.in_weight_sums())).tocsr()
+
+
+def _mixing_matrix(g: SocialGraph, rate: float) -> sparse.csr_array:
+    """I + rate * (W^T - D) as CSR: one in-neighbor averaging step on columns."""
+    return (sparse.eye_array(g.n, format="csr") + rate * _in_laplacian(g)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -294,8 +346,19 @@ def build_system_matrices(
     Row j of A implements the per-agent update
     mu_j <- sigma_scalar * (mu_j + delta_mu * sum_l w_lj (mu_l - mu_j)),
     i.e. aggregation over in-neighbors, which makes (A + B) row sums equal
-    one identically regardless of the weights.
+    one identically regardless of the weights. A and B are dense; A is the
+    densified CSR operator of :func:`_mean_operator`.
     """
+    a, scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
+    return SystemMatrices(
+        A=a.toarray(), B=(1.0 - scalar) * np.eye(g.n), sigma_scalar=scalar
+    )
+
+
+def _mean_operator(
+    g: SocialGraph, delta_mu: float, sigma_inf: float, sigma_y: float
+) -> tuple[sparse.csr_array, float]:
+    """A of :func:`build_system_matrices` as CSR, and its sigma_scalar."""
     if sigma_y <= 0.0:
         raise InvalidParameterError(f"sigma_y must be positive, got {sigma_y}")
     if sigma_inf < 0.0:
@@ -303,16 +366,10 @@ def build_system_matrices(
     if delta_mu < 0.0:
         raise InvalidParameterError(f"delta_mu must be >= 0, got {delta_mu}")
     scalar = sigma_y / (sigma_inf + sigma_y)
-    return SystemMatrices(
-        A=scalar * _mixing_matrix(g, delta_mu),
-        B=(1.0 - scalar) * np.eye(g.n),
-        sigma_scalar=scalar,
-    )
+    return scalar * _mixing_matrix(g, delta_mu), scalar
 
 
-def _arpack_radius(m: np.ndarray) -> float:
-    from scipy.sparse import linalg as sparse_linalg
-
+def _arpack_radius(m: np.ndarray | sparse.sparray) -> float:
     v0 = np.linspace(1.0, 2.0, m.shape[0])  # fixed start vector, deterministic
     vals = sparse_linalg.eigs(
         m, k=1, which="LM", v0=v0, tol=1e-9, return_eigenvectors=False
@@ -320,35 +377,40 @@ def _arpack_radius(m: np.ndarray) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a square matrix.
+def spectral_radius(m: np.ndarray | sparse.sparray) -> float:
+    """Largest eigenvalue magnitude of a square dense or scipy sparse matrix.
 
-    Dense eigensolve up to ``DENSE_EIG_LIMIT`` nodes; an iterative
-    largest-magnitude solve above that, falling back to the dense path if
-    the iteration fails to converge. Relative accuracy 1e-9 or better.
+    Up to ``DENSE_EIG_LIMIT`` nodes the matrix is densified for a dense
+    eigensolve; above that an iterative largest-magnitude solve runs on the
+    matrix as given (CSR stays sparse), falling back to the dense path if the
+    iteration fails to converge. Relative accuracy 1e-9 or better.
     """
-    m = np.asarray(m, dtype=float)
+    if sparse.issparse(m):
+        m = sparse.csr_array(m, dtype=float)
+        values = m.data
+    else:
+        m = values = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(values)):
         raise InvalidParameterError("matrix entries must be finite")
-    if m.shape[0] <= DENSE_EIG_LIMIT:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    try:
-        return _arpack_radius(m)
-    except Exception:  # pragma: no cover - ARPACK non-convergence is rare
-        log.warning("iterative eigensolve failed, falling back to dense")
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
+    if m.shape[0] > DENSE_EIG_LIMIT:
+        try:
+            return _arpack_radius(m)
+        except sparse_linalg.ArpackError:  # pragma: no cover - rare
+            log.warning("iterative eigensolve failed, falling back to dense")
+    dense = m.toarray() if sparse.issparse(m) else m
+    return float(np.max(np.abs(np.linalg.eigvals(dense))))
 
 
 def check_row_sum_condition(g: SocialGraph) -> float:
     """Max-abs residual of (W - D) 1 = 0 in the in-neighbor convention.
 
-    Zero up to rounding by construction: both terms are the vector of
-    incoming-weight sums, computed along different reduction paths.
+    Zero up to rounding by construction: row j of the CSR W^T - D adds the
+    in-weights of j in column order with -D_jj among them, a different
+    reduction path from the one that formed D_jj.
     """
-    ones = np.ones(g.n)
-    return float(np.max(np.abs(g.weights.T @ ones - g.in_weight_sums()), initial=0.0))
+    return float(np.max(np.abs(_in_laplacian(g) @ np.ones(g.n)), initial=0.0))
 
 
 def save_edge_list(g: SocialGraph, path: str | Path) -> None:

@@ -19,6 +19,7 @@ from gmop import (
     mixture_pdf,
     posterior_oracle,
 )
+from gmop.belief import _masked_normalize, _normalize_log_weights
 
 
 def two_mode_belief() -> GaussianMixtureBelief:
@@ -353,3 +354,40 @@ def test_property_mixture_pdf_componentwise(raw, x):
         for w, m, v in zip(b.weights, b.means, b.variances)
     )
     assert mixture_pdf(x, b) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# log-weight normalization
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.integers(min_value=1, max_value=20),
+    modes=st.integers(min_value=1, max_value=5),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_normalize_matches_masked_path_on_finite_rows(
+    rows, modes, scale, seed
+):
+    log_w = scale * np.random.default_rng(seed).standard_normal((rows, modes))
+    weights, degenerate = _normalize_log_weights(log_w)
+    masked, masked_degenerate = _masked_normalize(
+        log_w, np.max(log_w, axis=1, keepdims=True)
+    )
+    assert degenerate == masked_degenerate == 0
+    np.testing.assert_array_equal(weights, masked)
+    single, _ = _normalize_log_weights(log_w[0])
+    np.testing.assert_array_equal(single, masked[0])
+
+
+def test_normalize_all_minus_inf_rows_fall_back_to_uniform():
+    log_w = np.array([[0.0, -1.0, -np.inf], [-np.inf] * 3, [2.0, 2.0, 2.0]])
+    weights, degenerate = _normalize_log_weights(log_w)
+    assert degenerate == 1
+    np.testing.assert_array_equal(weights[1], np.full(3, 1.0 / 3.0))
+    finite, _ = _normalize_log_weights(log_w[[0, 2]])
+    np.testing.assert_array_equal(weights[[0, 2]], finite)
+    single, count = _normalize_log_weights(np.full(2, -np.inf))
+    assert count == 1
+    np.testing.assert_array_equal(single, [0.5, 0.5])

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from gmop import (
     ConfigError,
     InstabilityError,
+    ObservationModel,
     SocialGraph,
     build_graph,
     centrality_score,
@@ -27,6 +29,8 @@ from gmop import (
     run_experiment,
     save_config,
     sigma_fixed_point,
+    simulate,
+    stability_report,
     stubborn_equilibrium,
     sweep_centrality,
 )
@@ -165,16 +169,15 @@ def test_run_experiment_force_runs_unstable_system(tmp_path):
     assert (tmp_path / "trajectory.csv").exists()
 
 
-# SHA-256 of the null-prediction artifacts of forced raw-weight runs, as the
-# inline summary builder wrote them before build_summary took over that case.
+# SHA-256 of the null-prediction artifacts of forced raw-weight runs.
 FORCED_UNSTABLE_DIGESTS = {
     None: {
-        "summary.json": "a848c567885650c81cef373c9999510388dbf6ad377308d7d26c468f5653b35f",
-        "empirics.json": "6d1a99e52dfd92d82d7806b90e9daf81e52eee487a328cbc1552c3be6c92f066",
+        "summary.json": "5249c22bd38eedcdab78aaaab5a53a601fc5a3702ba52c99e521909c96894c92",
+        "empirics.json": "fb2f5fbffbe868e3b59a69f7e99966faa6de12b8937c2071704e8aace87739c0",
     },
     2: {
-        "summary.json": "2ae686974550e20027690ad8e666a97e351de465ab5ef077ff840bca764350c0",
-        "empirics.json": "4a48dbfc16c0e296e07c8dc2b1a65dd0a94069f643f53b29e4ee8ec2e8461190",
+        "summary.json": "ed9ee5098bbc7038c21bbcb9689b040d7a54c6eb61b242b189a804d4c01124f6",
+        "empirics.json": "4a881ba39d2fd133bef748448e8a2b0fe89fd2e53c6d5d775f7d58a980b5d6fc",
     },
 }
 
@@ -238,6 +241,51 @@ def test_one_eigensolve_per_radius(tmp_path, capsys, monkeypatch):
     assert count(lambda: run_experiment(s3, out_dir=tmp_path / "s3")) == 2
     assert count(lambda: main(["predict", "--preset", "S3"])) == 2
     capsys.readouterr()
+
+
+def test_one_system_build_per_command(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = analysis._mean_operator
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "_mean_operator", counting)
+
+    def count(action) -> int:
+        calls.clear()
+        action()
+        return len(calls)
+
+    # The stability report's build serves the pinned solve as well.
+    s1, s3 = small_config("S1", 10, 5), small_config("S3", 10, 5)
+    assert count(lambda: run_experiment(s1, out_dir=tmp_path / "s1")) == 1
+    assert count(lambda: run_experiment(s3, out_dir=tmp_path / "s3")) == 1
+    assert count(lambda: main(["predict", "--preset", "S3"])) == 1
+    capsys.readouterr()
+
+
+def test_library_path_at_n4000_stays_sparse():
+    # One dense float n x n array at n = 4000 is 122 MiB.
+    cfg = load_preset("S1")
+    cfg = replace(cfg, network=replace(cfg.network, n=4000),
+                  run=replace(cfg.run, horizon=2, trailing_window=2))
+    sigma_inf = sigma_fixed_point(cfg.policy.nu, cfg.model.sigma_y)
+    tracemalloc.start()
+    try:
+        g = build_graph(cfg.network)
+        report = stability_report(g, cfg.policy.delta_mu, sigma_inf, cfg.model.sigma_y)
+        record = simulate(
+            initial_states(cfg, child_rng(cfg.run.seed, "init")), g, cfg.policy,
+            ObservationModel(theta=cfg.model.theta, sigma_y=cfg.model.sigma_y), 2,
+            child_rng(cfg.run.seed, "observations"),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.conditions["spectral_ok"] and record.n_steps == 2
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,12 @@ from gmop import (
     simulate,
     step,
 )
-from gmop.dynamics import VARIANCE_FLOOR
+from gmop.belief import (
+    _bayes_arrays_exact,
+    _bayes_arrays_steady,
+    _normalize_log_weights,
+)
+from gmop.dynamics import GEOMETRIC_WEIGHT_FLOOR, VARIANCE_FLOOR
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -532,21 +537,101 @@ def test_simulate_step_is_bayes_update_then_mixing():
 
 
 # ---------------------------------------------------------------------------
+# dense reference step
+
+
+def oracle_graph(kind: str, n: int, r: np.random.Generator) -> SocialGraph:
+    raw = assign_random_weights(generate_watts_strogatz(n, 4, 0.3, r), r)
+    if kind == "normalized":
+        return normalize_in_weights(raw)
+    if kind == "signed":
+        return SocialGraph.from_edges(n, [(i, j, w - 0.5) for i, j, w in raw.edges()])
+    return raw
+
+
+@pytest.mark.parametrize("kind", ["normalized", "raw", "signed"])
+@pytest.mark.parametrize(
+    "gain_mode,weight_policy,stubborn",
+    list(itertools.product(("exact", "steady"), ("identity", "geometric"), (False, True))),
+)
+def test_simulate_matches_dense_reference_step(
+    kind, gain_mode, weight_policy, stubborn
+):
+    # Each recorded step is replayed from the previous record with dense
+    # n x n mixing products; the engine mixes with CSR products.
+    n, horizon, sigma_y, pinned = 40, 30, 0.1, 3
+    r = rng(31)
+    g = oracle_graph(kind, n, r)
+    states = [
+        AgentState(
+            belief=GaussianMixtureBelief.from_arrays(row, [1.0, 0.5], [0.4, 0.6])
+        )
+        for row in r.normal(size=(n, 2))
+    ]
+    if stubborn:
+        states[pinned] = AgentState(
+            states[pinned].belief, stubborn=True, stubborn_value=-1.0
+        )
+    policy = plain_policy(weight_policy=weight_policy)
+    sigma_inf = sigma_fixed_point(policy.nu, sigma_y)
+    rec = simulate(
+        states, g, policy, ObservationModel(theta=1.0, sigma_y=sigma_y), horizon,
+        rng(5), gain_mode=gain_mode, sigma_inf=sigma_inf,
+    )
+    w = g.weights
+
+    def mix(rate: float) -> np.ndarray:
+        return np.eye(n) + rate * (w.T - np.diag(w.sum(axis=0)))
+
+    means, variances, weights = (
+        np.array([getattr(s.belief, f) for s in states])
+        for f in ("means", "variances", "weights")
+    )
+    if gain_mode == "steady":
+        variances = np.full_like(variances, sigma_inf)
+    for k in range(horizon):
+        y = rec.observations[k]
+        if gain_mode == "steady":
+            post_means, post_weights, _ = _bayes_arrays_steady(
+                means, weights, y, sigma_inf, sigma_y
+            )
+        else:
+            post_means, post_vars, post_weights, _ = _bayes_arrays_exact(
+                means, variances, weights, y, sigma_y
+            )
+            variances = mix(policy.delta_sigma) @ post_vars + policy.nu
+            if np.any(variances <= 0.0):
+                variances = np.maximum(variances, VARIANCE_FLOOR)
+        means = mix(policy.delta_mu) @ post_means
+        weights = post_weights
+        if weight_policy == "geometric":
+            log_w = np.log(np.maximum(post_weights, GEOMETRIC_WEIGHT_FLOOR))
+            weights, _ = _normalize_log_weights(mix(1.0) @ log_w)
+        if stubborn:
+            means[pinned] = -1.0
+        for want, got in zip((means, variances, weights),
+                             (rec.means[k], rec.variances[k], rec.weights[k])):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        means, variances, weights = rec.means[k], rec.variances[k], rec.weights[k]
+
+
+# ---------------------------------------------------------------------------
 # golden engine records
 #
 # SHA-256 of the recorded means, variances and weights of 200-step n = 50 runs
 # over every gain mode, weight policy and stubbornness setting. A change to
-# the engine that moves any recorded bit fails here.
+# the engine that moves any recorded bit fails here, including the order in
+# which a mixing product adds a row (CSR: ascending column order).
 
 GOLDEN_ENGINE_DIGESTS = {
-    ("exact", "identity", False): "3901fbf405f8c875ac3b326776310a784fbf18b46878f7f4531cdb184599d4a7",
-    ("exact", "identity", True): "af12f66102b858292af301d1f38eb4fd01c33761d3d8a68fa36b1e069b64a7a5",
-    ("exact", "geometric", False): "6fb7eb6e0d7472e2272a18ced32e90f97ca465b2816bbad06c568efd54b20759",
-    ("exact", "geometric", True): "5815059f0b6c97baca5450967b3c0ce340d78ed07a5e82aefdd19329ef7a6bb6",
-    ("steady", "identity", False): "4681f28ee24ef51e9113ea1cdbbc62d4dbbd745489a32d4710c602bda5c70008",
-    ("steady", "identity", True): "6dc626cdf2c9f391ff7c55420a8e3f39b35cc92c0f06448038f04f964b66c39a",
-    ("steady", "geometric", False): "e3465f78b3242c3d0579be658dc61feee03a60eef0eb70bdad2760f6a4e4a6a1",
-    ("steady", "geometric", True): "7f175d94c2136266f84ec2026af16aec40a36bdd011d37dc9600a6a30ef5fe2d",
+    ("exact", "identity", False): "b02b7872971fb9c23ad401f4ea7ba30e4876144eac95d47a4fd9efa4e6fe54c2",
+    ("exact", "identity", True): "81908257ce6a0a37504ab0c0851f807a7c63f6f804c145d069a5c6209ae07bcb",
+    ("exact", "geometric", False): "5ee95c76526943887547e0cea700b2132d2585bcec767db81e32b52d92d03542",
+    ("exact", "geometric", True): "6fa8dc4368b34016be4d6b09e78cd6433da4b773cd89ecf37cf851eee8d6d4b9",
+    ("steady", "identity", False): "026348bb8c06da2ebe59dd08fca5c24c676e0418698f493e38c36b7af20a8db7",
+    ("steady", "identity", True): "ad8b536acfbf627c78e8b58e3b3ee61f964b50a24afd19e0d8fbc24b34e60e5c",
+    ("steady", "geometric", False): "4071b602defe92f76b28a536940b1cf09be3ea7449b442f025dcdfbc4af39ca1",
+    ("steady", "geometric", True): "bef42e31e65203291c3e6c873f15ee5cb5a5a839cd7e8e5c93e1c053df4d2a9a",
 }
 
 

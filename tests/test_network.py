@@ -1,11 +1,13 @@
 """Tests for graph construction, system matrices, and spectral diagnostics."""
 
+import hashlib
 import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gmop import (
     InvalidParameterError,
@@ -23,7 +25,7 @@ from gmop import (
     save_edge_list,
     spectral_radius,
 )
-from gmop.network import DENSE_EIG_LIMIT, _arpack_radius
+from gmop.network import DENSE_EIG_LIMIT, _arpack_radius, _mixing_matrix
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -68,6 +70,112 @@ def test_graph_weights_are_immutable():
     g = two_node_symmetric()
     with pytest.raises((ValueError, RuntimeError)):
         g.weights[0, 1] = 9.0
+
+
+# ---------------------------------------------------------------------------
+# CSR storage
+
+
+def random_graphs(n: int = 40, seed: int = 3) -> dict[str, SocialGraph]:
+    """A normalized, a raw-weight and a signed-weight graph on n nodes."""
+    topology = generate_watts_strogatz(n, 4, 0.3, rng(seed))
+    raw = assign_random_weights(topology, rng(seed + 1))
+    signed = SocialGraph.from_edges(n, [(i, j, w - 0.5) for i, j, w in raw.edges()])
+    return {"normalized": normalize_in_weights(raw), "raw": raw, "signed": signed}
+
+
+def test_graph_stores_canonical_read_only_csr():
+    g = random_graphs()["raw"]
+    assert g.csr.format == "csr" and g.csr.has_canonical_format
+    assert g.csr.nnz == g.n_edges and np.all(g.csr.data != 0.0)
+    for arr in (g.csr.data, g.csr.indices, g.csr.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert g.weights is g.weights
+    np.testing.assert_array_equal(g.weights, g.csr.toarray())
+    rows, cols = np.nonzero(g.weights)
+    assert list(g.edges()) == [
+        (i + 1, j + 1, g.weights[i, j]) for i, j in zip(rows, cols)
+    ]
+
+
+def test_constructor_takes_dense_and_sparse_weights_alike():
+    w = random_graphs()["signed"].weights
+    for weights in (w, sparse.coo_array(w), sparse.csc_array(w)):
+        g = SocialGraph(n=40, weights=weights)
+        np.testing.assert_array_equal(g.weights, w)
+        np.testing.assert_array_equal(g.csr.indices, sparse.csr_array(w).indices)
+    explicit_zero = sparse.csr_array(([0.0, 2.0], ([0, 1], [1, 0])), shape=(2, 2))
+    assert SocialGraph(n=2, weights=explicit_zero).n_edges == 1
+    bad_cases = [
+        (np.ones((2, 3)), r"shape \(2, 2\)"),
+        (np.array([[0.0, np.inf], [1.0, 0.0]]), "finite"),
+        (np.array([[1.0, 0.5], [0.5, 0.0]]), "self-loops"),
+    ]
+    for dense, message in bad_cases:
+        for weights in (dense, sparse.csr_array(dense)):
+            with pytest.raises(InvalidParameterError, match=message):
+                SocialGraph(n=2, weights=weights)
+
+
+@pytest.mark.parametrize("kind", ["normalized", "raw", "signed"])
+def test_sparse_builds_equal_the_dense_formulas_bitwise(kind):
+    g = random_graphs()[kind]
+    w = g.weights
+    np.testing.assert_array_equal(g.in_weight_sums(), w.sum(axis=0))
+    for rate in (0.0, 0.1, 0.6, 1.0):
+        dense = np.eye(g.n) + rate * (w.T - np.diag(w.sum(axis=0)))
+        np.testing.assert_array_equal(_mixing_matrix(g, rate).toarray(), dense)
+    mats = build_system_matrices(g, delta_mu=0.6, sigma_inf=0.161803, sigma_y=0.1)
+    dense = np.eye(g.n) + 0.6 * (w.T - np.diag(w.sum(axis=0)))
+    np.testing.assert_array_equal(mats.A, mats.sigma_scalar * dense)
+
+
+# SHA-256 of save_edge_list output: pins the order in which the builders draw
+# from their generators and every written weight bit.
+GRAPH_EDGE_DIGESTS = {
+    "S1": "51dde3f2a9f33d4e9a9d79ef8a20c6e60228955203615fd0a27ec987c126049a",
+    "n400-raw": "5380f75b3895f6744907a416582fef91e5e97ef1e809a4fd0a3cb6ea996c1e47",
+}
+
+
+def test_build_graph_edge_lists_match_golden_digests(tmp_path):
+    net = load_preset("S1").network
+    nets = {
+        "S1": net,
+        "n400-raw": replace(net, n=400, seed=3, p_ws=0.5, normalize_in_weights=False),
+    }
+    for name, config in nets.items():
+        save_edge_list(build_graph(config), tmp_path / name)
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == GRAPH_EDGE_DIGESTS[name], name
+
+
+def bfs_connected(g: SocialGraph) -> bool:
+    """Weak connectivity by depth-first search over the dense adjacency."""
+    adj = g.adjacency() | g.adjacency().T
+    seen = np.zeros(g.n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        node = stack.pop()
+        for nxt in np.nonzero(adj[node])[0]:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append(int(nxt))
+    return bool(seen.all())
+
+
+def test_is_connected_matches_search_on_random_graphs():
+    r = rng(17)
+    verdicts = set()
+    for _ in range(200):
+        n = int(r.integers(1, 30))
+        mask = (r.random((n, n)) < r.uniform(0.0, 0.15)) & ~np.eye(n, dtype=bool)
+        g = SocialGraph(n=n, weights=np.where(mask, r.uniform(-1.0, 1.0, (n, n)), 0.0))
+        assert g.is_connected() == bfs_connected(g)
+        verdicts.add(g.is_connected())
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +447,35 @@ def test_spectral_radius_matches_characteristic_polynomial(size, seed):
 def test_sparse_eig_path_matches_dense():
     m = rng(11).random((40, 40))
     assert _arpack_radius(m) == pytest.approx(spectral_radius(m), rel=1e-8)
+
+
+def csr_radius_cases() -> dict[str, sparse.csr_array]:
+    """Mean operators A at n = 600 from a normalized, a raw and a signed graph."""
+    n = 600
+    graphs = random_graphs(n, seed=8)
+    graphs["S1"] = build_graph(replace(load_preset("S1").network, n=n))
+    return {
+        kind: sparse.csr_array(build_system_matrices(g, 0.6, 0.161803, 0.1).A)
+        for kind, g in graphs.items()
+    }
+
+
+@pytest.mark.parametrize("kind", ["S1", "normalized", "raw", "signed"])
+def test_csr_iterative_radius_matches_dense_eigvals(kind):
+    m = csr_radius_cases()[kind]
+    assert m.shape[0] > DENSE_EIG_LIMIT
+    assert np.any(m.data < 0.0) == (kind in ("raw", "signed"))
+    dense = float(np.max(np.abs(np.linalg.eigvals(m.toarray()))))
+    assert spectral_radius(m) == pytest.approx(dense, rel=1e-9)
+
+
+def test_spectral_radius_validates_sparse_input():
+    with pytest.raises(InvalidParameterError, match="square"):
+        spectral_radius(sparse.csr_array(np.ones((2, 3))))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        spectral_radius(sparse.csr_array(np.array([[0.0, np.nan], [1.0, 0.0]])))
+    m = sparse.csr_array(np.array([[0.7, 0.3], [0.3, 0.7]]))
+    assert spectral_radius(m) == spectral_radius(m.toarray())
 
 
 def test_spectral_radius_above_dense_limit():
