@@ -122,19 +122,70 @@ def stubborn_equilibrium(
 
     Raises InstabilityError when the reduced block's spectral radius reaches
     one, and NumericalError (with a condition estimate) if the solve fails.
+    The radius is eigensolved only when ||A||_inf does not bound it below one.
     """
     a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
     a_sub, a_col, _ = _partition(a, stubborn_id)
-    return _pinned_solve(
-        a_sub, a_col, sigma_scalar, spectral_radius(a_sub), mu_dagger, theta
-    )
+    # rho(A_sub) <= ||A_sub||_inf <= ||A||_inf, so a bound below one settles
+    # stability without the eigensolve.
+    bound = _inf_norm_bound(a)
+    rho = bound if bound < 1.0 else spectral_radius(a_sub)
+    return _pinned_solve(a_sub, a_col, sigma_scalar, rho, mu_dagger, theta)
+
+
+def _inf_norm_bound(a: sparse.csr_array) -> float:
+    """Upper bound on ||A||_inf = max_i sum_j |A_ij| that absorbs rounding.
+
+    A row of k stored entries, each within a few ulp of the model's exact
+    entry, sums to within about 2 k ulp of the exact row sum; the relative
+    slack 2 (k + 1) eps covers both errors. So a row-stochastic A (nu = 0,
+    sigma_scalar = 1) never bounds below one, however its sums round.
+    """
+    k = int(np.diff(a.indptr).max(initial=0))
+    norm = float(abs(a).sum(axis=1).max(initial=0.0))
+    return norm * (1.0 + 2.0 * (k + 1) * np.finfo(float).eps)
+
+
+def _sweep_from_inverse(
+    g: SocialGraph,
+    delta_mu: float,
+    sigma_inf: float,
+    sigma_y: float,
+    mu_dagger: float,
+    theta: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Centrality score, gamma_min and gamma_max of every node, in node order.
+
+    Rows of A + B sum to one, so pinning node s at mu_dagger gives the
+    Friedkin-Johnsen equilibrium gamma(s) = theta + (mu_dagger - theta) h(s),
+    where h(s) is G e_s / G_ss with entry s dropped and G = (I - A)^-1: one
+    inverse scores every node, and
+    score(s) = |mu_dagger - theta| * mean_j |h_j(s)|.
+
+    Returns None unless ||A||_inf < 1 (:func:`_inf_norm_bound`). That bound
+    makes every reduced block stable, since rho(A_sub) <= ||A_sub||_inf <=
+    ||A||_inf, and bounds the condition number of I - A by
+    (1 + ||A||_inf) / (1 - ||A||_inf). Callers fall back to per-node
+    :func:`stubborn_equilibrium` solves when it fails.
+    """
+    a, _ = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
+    if _inf_norm_bound(a) >= 1.0:
+        return None
+    n = g.n
+    green = np.linalg.inv(np.eye(n) - a.toarray())
+    # Row s of h is column s of G over G_ss with entry s dropped.
+    h = (green / np.diag(green)).T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    shift = mu_dagger - theta
+    gamma = theta + shift * h
+    score = abs(shift) * np.mean(np.abs(h), axis=1)
+    return score, gamma.min(axis=1), gamma.max(axis=1)
 
 
 def _pinned_solve(
     a_sub: np.ndarray, a_col: np.ndarray, sigma_scalar: float, rho: float,
     mu_dagger: float, theta: float,
 ) -> np.ndarray:
-    """Solve the reduced block system whose spectral radius rho is known."""
+    """Solve the reduced block system; rho is its spectral radius or a bound."""
     if rho >= 1.0:
         raise InstabilityError(
             f"reduced system is unstable: spectral radius {rho:.6f} >= 1"

@@ -276,10 +276,16 @@ def sweep_centrality(config: SimulationConfig, mu_dagger: float) -> list[dict]:
 
     Returns rows sorted by descending score, unstable nodes last with NaN
     entries and stable=False; ties keep node order, so the rows are
-    deterministic for a given config.
+    deterministic for a given config. When ||A||_inf < 1 certifies every
+    reduced block, one inverse of I - A scores all nodes; otherwise each
+    node gets its own :func:`analysis.stubborn_equilibrium` solve.
     """
     g = build_graph(config.network)
     sigma_inf = analysis.sigma_fixed_point(config.policy.nu, config.model.sigma_y)
+    swept = analysis._sweep_from_inverse(
+        g, config.policy.delta_mu, sigma_inf, config.model.sigma_y, mu_dagger,
+        config.model.theta,
+    )
 
     def one(node: int) -> dict:
         try:
@@ -303,7 +309,14 @@ def sweep_centrality(config: SimulationConfig, mu_dagger: float) -> list[dict]:
             "gamma_max": float(np.max(gamma)), "stable": True,
         }
 
-    rows = [one(node) for node in range(1, g.n + 1)]
+    if swept is None:
+        rows = [one(node) for node in range(1, g.n + 1)]
+    else:
+        rows = [
+            {"node": node, "score": float(score), "gamma_min": float(lo),
+             "gamma_max": float(hi), "stable": True}
+            for node, (score, lo, hi) in enumerate(zip(*swept), start=1)
+        ]
     rows.sort(
         key=lambda r: (not r["stable"], -r["score"] if r["stable"] else 0.0, r["node"])
     )

@@ -323,6 +323,146 @@ def test_sweep_marks_unstable_nodes():
     assert [r["node"] for r in rows[1:]] == list(range(2, 51))
 
 
+def sweep_config(n: int, seed: int, delta_mu: float = 0.6, nu: float = 0.1):
+    """S3 parameters on a seeded n-node graph, as the n = 200 sweep benchmark."""
+    cfg = load_preset("S3")
+    return replace(
+        cfg,
+        network=replace(cfg.network, n=n, seed=seed),
+        policy=replace(cfg.policy, delta_mu=delta_mu, nu=nu),
+    )
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Record the calls to ``analysis.<name>`` made through the module."""
+    calls = []
+    original = getattr(analysis, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, name, counting)
+    return calls
+
+
+def per_node_sweep(monkeypatch, cfg, mu_dagger: float) -> list[dict]:
+    """The sweep with one stubborn_equilibrium solve per node (the oracle)."""
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_sweep_from_inverse", lambda *args: None)
+        return sweep_centrality(cfg, mu_dagger)
+
+
+def assert_same_rows(fast: list[dict], slow: list[dict]) -> None:
+    assert [(r["node"], r["stable"]) for r in fast] == [
+        (r["node"], r["stable"]) for r in slow
+    ]
+    for f, s in zip(fast, slow):
+        for key in ("score", "gamma_min", "gamma_max"):
+            assert f[key] == pytest.approx(s[key], rel=0, abs=1e-14, nan_ok=True), (
+                f["node"], key,
+            )
+
+
+def signed_graph(scale: float) -> SocialGraph:
+    """A 40-node graph whose edge weights take both signs."""
+    topology = gmop.generate_watts_strogatz(40, 3, 0.3, np.random.default_rng(4))
+    w = gmop.assign_random_weights(topology, np.random.default_rng(5))
+    return SocialGraph.from_edges(
+        w.n, [(i, j, scale * (x - 0.5)) for i, j, x in w.edges()]
+    )
+
+
+@pytest.mark.parametrize(
+    "seed,delta_mu,nu,mu_dagger",
+    [(1, 0.05, 0.01, -1.0), (2, 0.3, 0.1, 2.5), (3, 0.6, 0.5, -1.0),
+     (4, 0.9, 1.0, 0.0), (5, 1.0, 0.05, 3.0)],
+)
+def test_sweep_from_inverse_matches_per_node_oracle(
+    monkeypatch, seed, delta_mu, nu, mu_dagger
+):
+    cfg = sweep_config(40, seed, delta_mu, nu)
+    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    fast = sweep_centrality(cfg, mu_dagger)
+    assert not pinned
+    assert_same_rows(fast, per_node_sweep(monkeypatch, cfg, mu_dagger))
+    assert len(pinned) == 40
+
+
+def test_sweep_from_inverse_matches_oracle_on_signed_weights(monkeypatch):
+    # Small signed weights still certify: the bound does not need A >= 0.
+    monkeypatch.setattr(gmop.cli, "build_graph", lambda net: signed_graph(1.0))
+    cfg = small_config()
+    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    fast = sweep_centrality(cfg, -1.0)
+    assert not pinned
+    assert_same_rows(fast, per_node_sweep(monkeypatch, cfg, -1.0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_sweep_n200_matches_oracle(monkeypatch, seed):
+    cfg = sweep_config(200, seed)
+    fast = sweep_centrality(cfg, -1.0)
+    slow = per_node_sweep(monkeypatch, cfg, -1.0)
+    assert_same_rows(fast, slow)
+    # The benchmark's re-derivation: relative 1e-12 on five fixed nodes.
+    by_node = {r["node"]: r for r in slow}
+    for r in fast:
+        if r["node"] in (1, 50, 100, 150, 200):
+            for key in ("score", "gamma_min", "gamma_max"):
+                assert math.isclose(r[key], by_node[r["node"]][key], rel_tol=1e-12)
+
+
+def test_certified_sweep_runs_no_eigensolve_and_no_pinned_solve(monkeypatch):
+    cfg = sweep_config(200, 1)
+    radii = counted(monkeypatch, "spectral_radius")
+    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    rows = sweep_centrality(cfg, -1.0)
+    assert len(rows) == 200 and all(r["stable"] for r in rows)
+    assert (len(radii), len(pinned)) == (0, 0)
+    # The per-node oracle passes the same certificate before its eigensolve.
+    per_node_sweep(monkeypatch, cfg, -1.0)
+    assert (len(radii), len(pinned)) == (0, 200)
+
+
+@pytest.mark.parametrize("kind", ["raw", "signed", "nu0"])
+def test_uncertified_sweep_solves_per_node(monkeypatch, kind):
+    cfg = raw_weight_config() if kind == "raw" else small_config()
+    if kind == "signed":
+        monkeypatch.setattr(gmop.cli, "build_graph", lambda net: signed_graph(5.0))
+    if kind == "nu0":
+        cfg = replace(cfg, policy=replace(cfg.policy, nu=0.0))
+    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    rows = sweep_centrality(cfg, -1.0)
+    assert len(pinned) == len(rows)
+
+
+def test_nu_zero_closed_class_stays_unstable(monkeypatch):
+    # {1, 2, 3} has in-edges only from itself, so at nu = 0 (sigma_scalar = 1)
+    # its block of A is stochastic: pinning node 4 leaves rho(A_sub) = 1.
+    # Every row of |A| happens to sum to 1 - ulp in floating point.
+    edges = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (1, 4), (2, 4), (3, 4)]
+    weights = [0.33, 0.18, 0.96, 0.16, 0.93, 0.56, 0.92, 0.78, 0.72]
+    g = gmop.normalize_in_weights(
+        SocialGraph.from_edges(4, [(i, j, w) for (i, j), w in zip(edges, weights)])
+    )
+    a, sigma_scalar = gmop.network._mean_operator(g, 0.3, 0.0, 0.1)
+    assert sigma_scalar == 1.0
+    assert float(abs(a).sum(axis=1).max()) < 1.0
+    assert analysis._inf_norm_bound(a) >= 1.0
+    with pytest.raises(InstabilityError):
+        stubborn_equilibrium(g, 0.3, 0.0, 0.1, stubborn_id=4, mu_dagger=-1.0, theta=1.0)
+
+    monkeypatch.setattr(gmop.cli, "build_graph", lambda net: g)
+    cfg = small_config()
+    cfg = replace(cfg, policy=replace(cfg.policy, delta_mu=0.3, nu=0.0))
+    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    rows = sweep_centrality(cfg, -1.0)
+    assert len(pinned) == 4
+    assert [r["stable"] for r in rows] == [True, True, True, False]
+    assert rows[-1]["node"] == 4 and math.isnan(rows[-1]["score"])
+
+
 def test_complete_graph_symmetry_gives_equal_scores():
     n = 5
     w = (1.0 - np.eye(n)) / (n - 1)

@@ -469,6 +469,17 @@ def test_csr_iterative_radius_matches_dense_eigvals(kind):
     assert spectral_radius(m) == pytest.approx(dense, rel=1e-9)
 
 
+def test_iterative_radius_finds_isolated_top_eigenvalue():
+    # Magnitudes cluster just below the isolated real top eigenvalue
+    # 0.73654; 20 Arnoldi vectors settled on a complex pair at 0.72919.
+    m = sparse.random_array((600, 600), density=0.01, rng=rng(21), format="csr")
+    m.data -= 0.5
+    assert m.shape[0] > DENSE_EIG_LIMIT
+    dense = float(np.max(np.abs(np.linalg.eigvals(m.toarray()))))
+    assert dense == pytest.approx(0.7365352479, rel=1e-9)
+    assert spectral_radius(m) == pytest.approx(dense, rel=1e-9)
+
+
 def test_spectral_radius_validates_sparse_input():
     with pytest.raises(InvalidParameterError, match="square"):
         spectral_radius(sparse.csr_array(np.ones((2, 3))))
