@@ -165,6 +165,16 @@ def _theory(config: SimulationConfig, g: SocialGraph):
     return report, gate_name, gate, prediction, gamma
 
 
+def _diverges(
+    report: "analysis.StabilityReport", gate_name: str, gate: float, hint: str = ""
+) -> InstabilityError:
+    """The error for a gate radius of at least one, shared by run and predict."""
+    return InstabilityError(
+        f"{gate_name} {gate:.6f} >= 1; the configured dynamics diverge "
+        f"(row-sum residual {report.row_sum_residual:.3e}).{hint}"
+    )
+
+
 def _build_empirics(
     config: SimulationConfig,
     record: TrajectoryRecord,
@@ -228,11 +238,7 @@ def run_experiment(
     g = build_graph(config.network)
     report, gate_name, gate, prediction, gamma = _theory(config, g)
     if prediction is None and not force:
-        raise InstabilityError(
-            f"{gate_name} {gate:.6f} >= 1; the configured dynamics diverge "
-            f"(row-sum residual {report.row_sum_residual:.3e}). "
-            "Pass --force to simulate anyway."
-        )
+        raise _diverges(report, gate_name, gate, " Pass --force to simulate anyway.")
 
     record = simulate(
         initial_states(config, child_rng(config.run.seed, "init")),
@@ -435,9 +441,7 @@ def _resolve_config(args: argparse.Namespace) -> SimulationConfig:
                 seed = int(env)
             except ValueError:
                 raise ConfigError(f"GMOP_SEED must be an integer, got {env!r}") from None
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+    if seed is not None:  # RunConfig rejects a negative seed
         config = replace(config, run=replace(config.run, seed=seed))
     return config
 
@@ -460,12 +464,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     g = build_graph(config.network)
-    report, _, _, prediction, gamma = _theory(config, g)
+    report, gate_name, gate, prediction, gamma = _theory(config, g)
     if prediction is None:
-        raise InstabilityError(
-            f"spectral radius {report.spectral_radius:.6f} (reduced: "
-            f"{report.stubborn_spectral_radius}); no finite prediction exists"
-        )
+        raise _diverges(report, gate_name, gate)
     summary = analysis.build_summary(prediction, report, gamma=gamma)
     if args.out:
         out = Path(args.out)

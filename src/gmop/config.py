@@ -2,10 +2,14 @@
 
 A configuration document has five sections: network (graph construction),
 model (source and initial beliefs), policy (social mixing), stubborn, and
-run. Parsing is strict: unknown keys and malformed values are rejected with
-the dotted path of the offending field. The presets S1..S4 pin the four
-standard experiment settings; S2 and S4 raise the observation noise to 1,
-S3 and S4 pin node 1's means to -1.
+run. Each section is a frozen dataclass that checks its own ranges and
+choices on construction (and so on ``dataclasses.replace``). One reader turns
+a JSON section into its dataclass: the allowed keys, the required keys (the
+fields without a default) and the JSON types come from the dataclass fields,
+and a failed rule comes back as a ``ConfigError`` naming the dotted path of
+the offending field. The presets S1..S4 pin the four standard experiment
+settings; S2 and S4 raise the observation noise to 1, S3 and S4 pin node 1's
+means to -1.
 
 Seeding is split per stage. network.seed drives topology, hub selection,
 and edge weights; run.seed drives belief initialization and observations.
@@ -16,16 +20,18 @@ network instance, and changing the horizon never changes the graph.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .dynamics import GAIN_MODES, WEIGHT_POLICIES, PolicyConfig
-from .errors import ConfigError
+from .dynamics import GAIN_MODES, OBSERVATIONS, PolicyConfig
+from .errors import ConfigError, InvalidParameterError
 
 __all__ = [
     "NetworkConfig",
@@ -59,13 +65,152 @@ def child_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _require_keys(section: dict, path: str, required: tuple, optional: tuple = ()):
-    unknown = set(section) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' at {path}")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"missing key '{key}' at {path}")
+def _require(ok: bool, message: str, *args: Any) -> None:
+    """Raise InvalidParameterError(message.format(*args)) unless ok."""
+    if not ok:
+        raise InvalidParameterError(message.format(*args))
+
+
+def _per_mode(values: Any, modes: int) -> bool:
+    return isinstance(values, tuple) and len(values) == modes
+
+
+@dataclass(frozen=True)
+class NetworkConfig:
+    n: int
+    k_ws: int
+    p_ws: float
+    hub_node: int
+    hub_fraction: float
+    seed: int
+    normalize_in_weights: bool = True
+
+    def __post_init__(self) -> None:
+        n = self.n
+        _require(n >= 3, "n must be at least 3, got {}", n)
+        _require(1 <= self.k_ws < n, "k_ws must lie in [1, n), got {}", self.k_ws)
+        _require(0.0 <= self.p_ws <= 1.0, "p_ws must lie in [0, 1], got {}", self.p_ws)
+        _require(
+            1 <= self.hub_node <= n,
+            "hub_node must lie in [1, n], got {}", self.hub_node,
+        )
+        _require(
+            0.0 <= self.hub_fraction <= 1.0,
+            "hub_fraction must lie in [0, 1], got {}", self.hub_fraction,
+        )
+        _require(self.seed >= 0, "seed must be >= 0, got {}", self.seed)
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Source and initial beliefs; init_weights=None means uniform weights."""
+
+    theta: float
+    sigma_y: float
+    modes: int
+    init_mean_ranges: tuple[tuple[float, float], ...]
+    init_variances: tuple[float, ...]
+    init_weights: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        m = self.modes
+        _require(self.sigma_y > 0.0, "sigma_y must be positive, got {}", self.sigma_y)
+        _require(m >= 1, "modes must be at least 1, got {}", m)
+        if self.init_weights is None:
+            object.__setattr__(self, "init_weights", (1.0 / m,) * m)
+        ranges, variances, weights = (
+            self.init_mean_ranges, self.init_variances, self.init_weights
+        )
+        _require(
+            _per_mode(ranges, m),
+            "init_mean_ranges must list one [lo, hi] pair per mode ({})", m,
+        )
+        for i, pair in enumerate(ranges):
+            _require(
+                isinstance(pair, tuple) and len(pair) == 2,
+                "init_mean_ranges[{}] must be a [lo, hi] pair", i,
+            )
+            _require(pair[0] <= pair[1], "init_mean_ranges[{}] has hi < lo", i)
+        _require(
+            _per_mode(variances, m),
+            "init_variances must list one value per mode ({})", m,
+        )
+        for i, v in enumerate(variances):
+            _require(v > 0.0, "init_variances[{}] must be positive", i)
+        _require(
+            _per_mode(weights, m), "init_weights must list one value per mode ({})", m
+        )
+        for i, w in enumerate(weights):
+            _require(w >= 0.0, "init_weights[{}] must be >= 0", i)
+        total = sum(weights)
+        _require(
+            abs(total - 1.0) <= 1e-9, "init_weights must sum to 1, got {!r}", total
+        )
+
+
+@dataclass(frozen=True)
+class StubbornConfig:
+    enabled: bool
+    node: int = 1
+    mu_dagger: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require(
+            not self.enabled or self.node >= 1, "node must be >= 1, got {}", self.node
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    horizon: int
+    trailing_window: int
+    gain_mode: str = "exact"
+    observation: str = "shared"
+    seed: int
+    output_dir: str
+
+    def __post_init__(self) -> None:
+        h, w = self.horizon, self.trailing_window
+        _require(h >= 1, "horizon must be >= 1, got {}", h)
+        _require(1 <= w <= h, "trailing_window must lie in [1, horizon], got {}", w)
+        _require(
+            self.gain_mode in GAIN_MODES,
+            "gain_mode must be one of {}, got {!r}", GAIN_MODES, self.gain_mode,
+        )
+        _require(
+            self.observation in OBSERVATIONS,
+            "observation must be one of {}, got {!r}", OBSERVATIONS, self.observation,
+        )
+        _require(self.seed >= 0, "seed must be >= 0, got {}", self.seed)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimulationConfig:
+    network: NetworkConfig
+    model: ModelConfig
+    policy: PolicyConfig
+    stubborn: StubbornConfig = StubbornConfig(enabled=False)
+    run: RunConfig
+
+    def __post_init__(self) -> None:
+        node, n = self.stubborn.node, self.network.n
+        _require(
+            not self.stubborn.enabled or node <= n,
+            "stubborn.node must lie in [1, {}], got {}", n, node,
+        )
+
+    def to_dict(self) -> dict:
+        """The JSON document of this config, keys in field order."""
+        return _plain(self)
+
+
+def _plain(value: Any) -> Any:
+    """dataclasses.asdict with tuples turned into lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -89,363 +234,96 @@ def _as_bool(value: Any, path: str) -> bool:
     return value
 
 
-def _as_str(value: Any, path: str, choices: tuple | None = None) -> str:
+def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path} must be a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path} must be one of {choices}, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    n: int
-    k_ws: int
-    p_ws: float
-    hub_node: int
-    hub_fraction: float
-    seed: int
-    normalize_in_weights: bool = True
+_SCALAR_READERS = {int: _as_int, float: _as_number, bool: _as_bool, str: _as_str}
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    theta: float
-    sigma_y: float
-    modes: int
-    init_mean_ranges: tuple[tuple[float, float], ...]
-    init_variances: tuple[float, ...]
-    init_weights: tuple[float, ...]
+def _reader(hint: Any) -> Callable[[Any, str], Any]:
+    """The JSON type check for one field type; lists become tuples."""
+    if isinstance(hint, UnionType):  # `T | None`: null passes through below
+        hint = get_args(hint)[0]
+    if get_origin(hint) is not tuple:
+        return _SCALAR_READERS[hint]
+    read_item = _reader(get_args(hint)[0])
+
+    def read_list(value: Any, path: str) -> Any:
+        # Anything but a list passes through, so the dataclass rejects its shape.
+        if not isinstance(value, list):
+            return value
+        return tuple(read_item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read_list
 
 
-@dataclass(frozen=True)
-class StubbornConfig:
-    enabled: bool = False
-    node: int = 1
-    mu_dagger: float = 0.0
+@functools.cache
+def _schema(cls: type) -> tuple[dict[str, Any], tuple[str, ...]]:
+    """Field name -> type hint, in field order, and the fields without a default."""
+    hints = get_type_hints(cls)
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
+    return {f.name: hints[f.name] for f in fields(cls)}, required
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    horizon: int
-    trailing_window: int
-    seed: int
-    output_dir: str
-    gain_mode: str = "exact"
-    observation: str = "shared"
+@functools.cache
+def _readers(cls: type) -> dict[str, Callable[[Any, str], Any]]:
+    return {name: _reader(hint) for name, hint in _schema(cls)[0].items()}
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    network: NetworkConfig
-    model: ModelConfig
-    policy: PolicyConfig
-    stubborn: StubbornConfig
-    run: RunConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "network": {
-                "n": self.network.n,
-                "k_ws": self.network.k_ws,
-                "p_ws": self.network.p_ws,
-                "hub_node": self.network.hub_node,
-                "hub_fraction": self.network.hub_fraction,
-                "seed": self.network.seed,
-                "normalize_in_weights": self.network.normalize_in_weights,
-            },
-            "model": {
-                "theta": self.model.theta,
-                "sigma_y": self.model.sigma_y,
-                "modes": self.model.modes,
-                "init_mean_ranges": [list(r) for r in self.model.init_mean_ranges],
-                "init_variances": list(self.model.init_variances),
-                "init_weights": list(self.model.init_weights),
-            },
-            "policy": {
-                "delta_mu": self.policy.delta_mu,
-                "delta_sigma": self.policy.delta_sigma,
-                "nu": self.policy.nu,
-                "weight_policy": self.policy.weight_policy,
-            },
-            "stubborn": {
-                "enabled": self.stubborn.enabled,
-                "node": self.stubborn.node,
-                "mu_dagger": self.stubborn.mu_dagger,
-            },
-            "run": {
-                "horizon": self.run.horizon,
-                "trailing_window": self.run.trailing_window,
-                "gain_mode": self.run.gain_mode,
-                "observation": self.run.observation,
-                "seed": self.run.seed,
-                "output_dir": self.run.output_dir,
-            },
-        }
+def _check_keys(section: dict, path: str, cls: type) -> None:
+    """Keys must be fields of cls, and every field without a default is required."""
+    hints, required = _schema(cls)
+    unknown = section.keys() - hints.keys()
+    if unknown:
+        raise ConfigError(f"unknown key '{min(unknown)}' at {path}")
+    for name in required:
+        if name not in section:
+            raise ConfigError(f"missing key '{name}' at {path}")
 
 
-def _parse_network(section: Any) -> NetworkConfig:
+def _read_section(doc: dict, name: str, cls: type) -> Any:
+    """Build cls from doc[name]: keys and JSON types from its fields, rules from cls."""
+    section = doc[name]
     if not isinstance(section, dict):
-        raise ConfigError("network must be an object")
-    _require_keys(
-        section,
-        "network",
-        required=("n", "k_ws", "p_ws", "hub_node", "hub_fraction", "seed"),
-        optional=("normalize_in_weights",),
-    )
-    n = _as_int(section["n"], "network.n")
-    if n < 3:
-        raise ConfigError(f"network.n must be at least 3, got {n}")
-    k_ws = _as_int(section["k_ws"], "network.k_ws")
-    if not (1 <= k_ws < n):
-        raise ConfigError(f"network.k_ws must lie in [1, n), got {k_ws}")
-    p_ws = _as_number(section["p_ws"], "network.p_ws")
-    if not (0.0 <= p_ws <= 1.0):
-        raise ConfigError(f"network.p_ws must lie in [0, 1], got {p_ws}")
-    hub_node = _as_int(section["hub_node"], "network.hub_node")
-    if not (1 <= hub_node <= n):
-        raise ConfigError(f"network.hub_node must lie in [1, n], got {hub_node}")
-    hub_fraction = _as_number(section["hub_fraction"], "network.hub_fraction")
-    if not (0.0 <= hub_fraction <= 1.0):
-        raise ConfigError(
-            f"network.hub_fraction must lie in [0, 1], got {hub_fraction}"
-        )
-    seed = _as_int(section["seed"], "network.seed")
-    if seed < 0:
-        raise ConfigError(f"network.seed must be >= 0, got {seed}")
-    normalize = _as_bool(
-        section.get("normalize_in_weights", True), "network.normalize_in_weights"
-    )
-    return NetworkConfig(
-        n=n, k_ws=k_ws, p_ws=p_ws, hub_node=hub_node,
-        hub_fraction=hub_fraction, seed=seed, normalize_in_weights=normalize,
-    )
-
-
-def _parse_model(section: Any) -> ModelConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("model must be an object")
-    _require_keys(
-        section,
-        "model",
-        required=("theta", "sigma_y", "modes", "init_mean_ranges", "init_variances"),
-        optional=("init_weights",),
-    )
-    theta = _as_number(section["theta"], "model.theta")
-    sigma_y = _as_number(section["sigma_y"], "model.sigma_y")
-    if sigma_y <= 0.0:
-        raise ConfigError(f"model.sigma_y must be positive, got {sigma_y}")
-    modes = _as_int(section["modes"], "model.modes")
-    if modes < 1:
-        raise ConfigError(f"model.modes must be at least 1, got {modes}")
-
-    ranges_raw = section["init_mean_ranges"]
-    if not isinstance(ranges_raw, list) or len(ranges_raw) != modes:
-        raise ConfigError(
-            f"model.init_mean_ranges must list one [lo, hi] pair per mode ({modes})"
-        )
-    ranges = []
-    for i, pair in enumerate(ranges_raw):
-        path = f"model.init_mean_ranges[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{path} must be a [lo, hi] pair")
-        lo = _as_number(pair[0], f"{path}[0]")
-        hi = _as_number(pair[1], f"{path}[1]")
-        if hi < lo:
-            raise ConfigError(f"{path} has hi < lo")
-        ranges.append((lo, hi))
-
-    variances_raw = section["init_variances"]
-    if not isinstance(variances_raw, list) or len(variances_raw) != modes:
-        raise ConfigError(
-            f"model.init_variances must list one value per mode ({modes})"
-        )
-    variances = []
-    for i, v in enumerate(variances_raw):
-        value = _as_number(v, f"model.init_variances[{i}]")
-        if value <= 0.0:
-            raise ConfigError(f"model.init_variances[{i}] must be positive")
-        variances.append(value)
-
-    weights_raw = section.get("init_weights")
-    if weights_raw is None:
-        weights = [1.0 / modes] * modes
-    else:
-        if not isinstance(weights_raw, list) or len(weights_raw) != modes:
-            raise ConfigError(
-                f"model.init_weights must list one value per mode ({modes})"
-            )
-        weights = []
-        for i, w in enumerate(weights_raw):
-            value = _as_number(w, f"model.init_weights[{i}]")
-            if value < 0.0:
-                raise ConfigError(f"model.init_weights[{i}] must be >= 0")
-            weights.append(value)
-        total = sum(weights)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(
-                f"model.init_weights must sum to 1, got {total!r}"
-            )
-        weights = [w / total for w in weights]
-
-    return ModelConfig(
-        theta=theta, sigma_y=sigma_y, modes=modes,
-        init_mean_ranges=tuple(ranges), init_variances=tuple(variances),
-        init_weights=tuple(weights),
-    )
-
-
-def _parse_policy(section: Any) -> PolicyConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("policy must be an object")
-    _require_keys(
-        section,
-        "policy",
-        required=("delta_mu", "delta_sigma", "nu"),
-        optional=("weight_policy",),
-    )
-    delta_mu = _as_number(section["delta_mu"], "policy.delta_mu")
-    if delta_mu <= 0.0:
-        raise ConfigError(f"policy.delta_mu must be positive, got {delta_mu}")
-    delta_sigma = _as_number(section["delta_sigma"], "policy.delta_sigma")
-    if delta_sigma < 0.0:
-        raise ConfigError(f"policy.delta_sigma must be >= 0, got {delta_sigma}")
-    nu = _as_number(section["nu"], "policy.nu")
-    if nu < 0.0:
-        raise ConfigError(f"policy.nu must be >= 0, got {nu}")
-    weight_policy = _as_str(
-        section.get("weight_policy", "identity"),
-        "policy.weight_policy",
-        choices=WEIGHT_POLICIES,
-    )
-    return PolicyConfig(
-        delta_mu=delta_mu, delta_sigma=delta_sigma, nu=nu,
-        weight_policy=weight_policy,
-    )
-
-
-def _parse_stubborn(section: Any) -> StubbornConfig:
-    if section is None:
-        return StubbornConfig()
-    if not isinstance(section, dict):
-        raise ConfigError("stubborn must be an object")
-    _require_keys(
-        section, "stubborn", required=("enabled",), optional=("node", "mu_dagger")
-    )
-    enabled = _as_bool(section["enabled"], "stubborn.enabled")
-    node = _as_int(section.get("node", 1), "stubborn.node")
-    mu_dagger = _as_number(section.get("mu_dagger", 0.0), "stubborn.mu_dagger")
-    if enabled and node < 1:
-        raise ConfigError(f"stubborn.node must be >= 1, got {node}")
-    return StubbornConfig(enabled=enabled, node=node, mu_dagger=mu_dagger)
-
-
-def _parse_run(section: Any) -> RunConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("run must be an object")
-    _require_keys(
-        section,
-        "run",
-        required=("horizon", "trailing_window", "seed", "output_dir"),
-        optional=("gain_mode", "observation"),
-    )
-    horizon = _as_int(section["horizon"], "run.horizon")
-    if horizon < 1:
-        raise ConfigError(f"run.horizon must be >= 1, got {horizon}")
-    window = _as_int(section["trailing_window"], "run.trailing_window")
-    if not (1 <= window <= horizon):
-        raise ConfigError(
-            f"run.trailing_window must lie in [1, horizon], got {window}"
-        )
-    seed = _as_int(section["seed"], "run.seed")
-    if seed < 0:
-        raise ConfigError(f"run.seed must be >= 0, got {seed}")
-    output_dir = _as_str(section["output_dir"], "run.output_dir")
-    gain_mode = _as_str(
-        section.get("gain_mode", "exact"), "run.gain_mode", choices=GAIN_MODES
-    )
-    observation = _as_str(
-        section.get("observation", "shared"),
-        "run.observation",
-        choices=("shared", "independent"),
-    )
-    return RunConfig(
-        horizon=horizon, trailing_window=window, seed=seed,
-        output_dir=output_dir, gain_mode=gain_mode, observation=observation,
-    )
+        raise ConfigError(f"{name} must be an object")
+    _check_keys(section, name, cls)
+    values = {
+        key: read(section[key], f"{name}.{key}")
+        for key, read in _readers(cls).items()
+        if key in section
+    }
+    try:
+        return cls(**values)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
 
 
 def _parse_config(doc: Any) -> SimulationConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be an object")
-    _require_keys(
-        doc, "config",
-        required=("network", "model", "policy", "run"),
-        optional=("stubborn",),
-    )
-    network = _parse_network(doc["network"])
-    model = _parse_model(doc["model"])
-    policy = _parse_policy(doc["policy"])
-    stubborn = _parse_stubborn(doc.get("stubborn"))
-    run = _parse_run(doc["run"])
-    if stubborn.enabled and not (1 <= stubborn.node <= network.n):
-        raise ConfigError(
-            f"stubborn.node must lie in [1, {network.n}], got {stubborn.node}"
+    _check_keys(doc, "config", SimulationConfig)
+    hints, required = _schema(SimulationConfig)
+    # An optional section (stubborn) that is absent or null keeps its default.
+    sections = {
+        name: _read_section(doc, name, cls)
+        for name, cls in hints.items()
+        if name in required or doc.get(name) is not None
+    }
+    if doc["model"].get("init_weights") is not None:
+        # Given weights are rescaled to sum to one here, once; in ModelConfig
+        # every dataclasses.replace would divide them again.
+        model = sections["model"]
+        total = sum(model.init_weights)
+        sections["model"] = replace(
+            model, init_weights=tuple(w / total for w in model.init_weights)
         )
-    return SimulationConfig(
-        network=network, model=model, policy=policy, stubborn=stubborn, run=run
-    )
-
-
-def _preset_documents() -> dict[str, dict]:
-    base = {
-        "network": {
-            "n": 50,
-            "k_ws": 3,
-            "p_ws": 0.2,
-            "hub_node": 1,
-            "hub_fraction": 0.5,
-            "seed": 7,
-            "normalize_in_weights": True,
-        },
-        "model": {
-            "theta": 1.0,
-            "sigma_y": 0.1,
-            "modes": 2,
-            "init_mean_ranges": [[0.0, 1.0], [-1.0, 0.0]],
-            "init_variances": [1.0, 1.0],
-            "init_weights": [0.5, 0.5],
-        },
-        "policy": {
-            "delta_mu": 0.6,
-            "delta_sigma": 0.1,
-            "nu": 0.1,
-            "weight_policy": "identity",
-        },
-        "stubborn": {"enabled": False, "node": 1, "mu_dagger": -1.0},
-        "run": {
-            "horizon": 2000,
-            "trailing_window": 1000,
-            "gain_mode": "exact",
-            "observation": "shared",
-            "seed": 23,
-            "output_dir": "runs/S1",
-        },
-    }
-
-    def variant(name: str, sigma_y: float, stubborn_on: bool) -> dict:
-        doc = json.loads(json.dumps(base))
-        doc["model"]["sigma_y"] = sigma_y
-        doc["stubborn"]["enabled"] = stubborn_on
-        doc["run"]["output_dir"] = f"runs/{name}"
-        return doc
-
-    return {
-        "S1": variant("S1", 0.1, False),
-        "S2": variant("S2", 1.0, False),
-        "S3": variant("S3", 0.1, True),
-        "S4": variant("S4", 1.0, True),
-    }
+    try:
+        return SimulationConfig(**sections)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 PRESET_NAMES = ("S1", "S2", "S3", "S4")
@@ -453,10 +331,25 @@ PRESET_NAMES = ("S1", "S2", "S3", "S4")
 
 def load_preset(name: str) -> SimulationConfig:
     """Return one of the standard settings S1..S4."""
-    docs = _preset_documents()
-    if name not in docs:
+    if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return _parse_config(docs[name])
+    return SimulationConfig(
+        network=NetworkConfig(
+            n=50, k_ws=3, p_ws=0.2, hub_node=1, hub_fraction=0.5, seed=7
+        ),
+        model=ModelConfig(
+            theta=1.0, sigma_y=1.0 if name in ("S2", "S4") else 0.1, modes=2,
+            init_mean_ranges=((0.0, 1.0), (-1.0, 0.0)),
+            init_variances=(1.0, 1.0), init_weights=(0.5, 0.5),
+        ),
+        policy=PolicyConfig(delta_mu=0.6, delta_sigma=0.1, nu=0.1),
+        stubborn=StubbornConfig(
+            enabled=name in ("S3", "S4"), node=1, mu_dagger=-1.0
+        ),
+        run=RunConfig(
+            horizon=2000, trailing_window=1000, seed=23, output_dir=f"runs/{name}"
+        ),
+    )
 
 
 def load_config(source: str | Path) -> SimulationConfig:

@@ -63,6 +63,7 @@ SIMPLEX_TOL = 1e-10
 
 WEIGHT_POLICIES = ("identity", "geometric")
 GAIN_MODES = ("exact", "steady")
+OBSERVATIONS = ("shared", "independent")
 
 
 @dataclass(frozen=True)
@@ -332,9 +333,9 @@ def simulate(
     """
     if horizon < 1:
         raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
-    if observation not in ("shared", "independent"):
+    if observation not in OBSERVATIONS:
         raise InvalidParameterError(
-            f"observation must be 'shared' or 'independent', got {observation!r}"
+            f"observation must be one of {OBSERVATIONS}, got {observation!r}"
         )
     if gain_mode not in GAIN_MODES:
         raise InvalidParameterError(

@@ -595,6 +595,39 @@ def test_main_instability_exit_code(tmp_path, capsys):
     assert "--force" in err
 
 
+@pytest.mark.parametrize(
+    "command, pinned, line",
+    [
+        ("predict", None,
+         "error: spectral radius 2.839289 >= 1; the configured dynamics diverge "
+         "(row-sum residual 2.220e-15)."),
+        ("predict", 2,
+         "error: reduced-system spectral radius 2.835576 >= 1; the configured "
+         "dynamics diverge (row-sum residual 2.220e-15)."),
+        ("run", None,
+         "error: spectral radius 2.839289 >= 1; the configured dynamics diverge "
+         "(row-sum residual 2.220e-15). Pass --force to simulate anyway."),
+        ("run", 2,
+         "error: reduced-system spectral radius 2.835576 >= 1; the configured "
+         "dynamics diverge (row-sum residual 2.220e-15). Pass --force to simulate "
+         "anyway."),
+    ],
+    ids=["predict", "predict-pinned", "run", "run-pinned"],
+)
+def test_main_instability_message_names_the_gate(tmp_path, capsys, command, pinned,
+                                                 line):
+    # run and predict share one message, led by the radius that gated; only
+    # run, which has --force, offers it.
+    cfg = raw_weight_config()
+    if pinned is not None:
+        cfg = replace(cfg, stubborn=replace(cfg.stubborn, enabled=True, node=pinned))
+    args = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "run")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_main_seed_precedence(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, small_config())
 

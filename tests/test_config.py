@@ -1,12 +1,15 @@
 """Tests for configuration parsing, presets, and seed stream discipline."""
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gmop import ConfigError, child_rng, load_config, load_preset, save_config
-from gmop.config import PRESET_NAMES, RNG_STREAMS
+from gmop.config import PRESET_NAMES, RNG_STREAMS, NetworkConfig
+from gmop.errors import InvalidParameterError
 
 
 def preset_doc(name: str = "S1") -> dict:
@@ -216,3 +219,145 @@ def test_child_rng_streams_are_distinct():
 def test_child_rng_rejects_unknown_stream():
     with pytest.raises(ConfigError):
         child_rng(23, "weather")
+
+
+# ---------------------------------------------------------------------------
+# golden bytes and messages
+
+
+# SHA-256 of save_config's output for each preset (the run's config.json).
+PRESET_CONFIG_SHA256 = {
+    "S1": "dbb4f272129ab1fba61012084a520ac7ba73bec0c3f145200dd2613d51b42223",
+    "S2": "1dce4f9a4ad4550392e17e0079dfc6928d3e31b59f993c3c0b1680e6aa9ec48d",
+    "S3": "1a43a6ed3d071eae6cd5d7afaef11d595973a95b8f1ff1195dfe226cc6ace9ad",
+    "S4": "66528ebd061287255ecaa6d3e0522d6a7427df26e656b1b167ad70e38ddfa7bb",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_config_json_matches_golden_digest(tmp_path, name):
+    path = tmp_path / "config.json"
+    save_config(load_preset(name), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_CONFIG_SHA256[name]
+
+
+DELETE = "<delete>"
+
+# (preset, section or None for the top level, key, new value or DELETE, message)
+SINGLE_FAULTS = [
+    ("S1", "network", "n", 2, "network.n must be at least 3, got 2"),
+    ("S1", "network", "n", 3.0, "network.n must be an integer, got 3.0"),
+    ("S1", "network", "k_ws", 99, "network.k_ws must lie in [1, n), got 99"),
+    ("S1", "network", "p_ws", 1.5, "network.p_ws must lie in [0, 1], got 1.5"),
+    ("S1", "network", "p_ws", float("nan"), "network.p_ws must be finite, got nan"),
+    ("S1", "network", "hub_node", 0, "network.hub_node must lie in [1, n], got 0"),
+    ("S1", "network", "hub_fraction", -0.1,
+     "network.hub_fraction must lie in [0, 1], got -0.1"),
+    ("S1", "network", "seed", -1, "network.seed must be >= 0, got -1"),
+    ("S1", "network", "normalize_in_weights", "yes",
+     "network.normalize_in_weights must be true or false, got 'yes'"),
+    ("S1", "network", "bogus", 1, "unknown key 'bogus' at network"),
+    ("S1", "network", "seed", DELETE, "missing key 'seed' at network"),
+    ("S1", "model", "sigma_y", 0.0, "model.sigma_y must be positive, got 0.0"),
+    ("S1", "model", "modes", 0, "model.modes must be at least 1, got 0"),
+    ("S1", "model", "modes", 3,
+     "model.init_mean_ranges must list one [lo, hi] pair per mode (3)"),
+    ("S1", "model", "init_mean_ranges", [[0.0, 1.0], [1.0, 0.0]],
+     "model.init_mean_ranges[1] has hi < lo"),
+    ("S1", "model", "init_mean_ranges", [0.0, 1.0],
+     "model.init_mean_ranges[0] must be a [lo, hi] pair"),
+    ("S1", "model", "init_mean_ranges", [[0.0, "x"], [-1.0, 0.0]],
+     "model.init_mean_ranges[0][1] must be a number, got 'x'"),
+    ("S1", "model", "init_variances", [1.0, 0.0],
+     "model.init_variances[1] must be positive"),
+    ("S1", "model", "init_variances", "x",
+     "model.init_variances must list one value per mode (2)"),
+    ("S1", "model", "init_weights", [0.3, 0.3],
+     "model.init_weights must sum to 1, got 0.6"),
+    ("S1", "model", "init_weights", [1.5, -0.5], "model.init_weights[1] must be >= 0"),
+    ("S1", "model", "init_weights", [1.0],
+     "model.init_weights must list one value per mode (2)"),
+    ("S1", "policy", "delta_mu", 0.0, "policy.delta_mu must be positive, got 0.0"),
+    ("S1", "policy", "delta_sigma", -0.1, "policy.delta_sigma must be >= 0, got -0.1"),
+    ("S1", "policy", "nu", -0.5, "policy.nu must be >= 0, got -0.5"),
+    ("S1", "policy", "weight_policy", "magic",
+     "policy.weight_policy must be one of ('identity', 'geometric'), got 'magic'"),
+    ("S1", "policy", "weight_policy", 1,
+     "policy.weight_policy must be a string, got 1"),
+    ("S1", "stubborn", "enabled", DELETE, "missing key 'enabled' at stubborn"),
+    ("S1", "stubborn", "enabled", 1, "stubborn.enabled must be true or false, got 1"),
+    ("S3", "stubborn", "node", 0, "stubborn.node must be >= 1, got 0"),
+    ("S3", "stubborn", "node", 99, "stubborn.node must lie in [1, 50], got 99"),
+    ("S3", "stubborn", "mu_dagger", "low",
+     "stubborn.mu_dagger must be a number, got 'low'"),
+    ("S1", "run", "horizon", 0, "run.horizon must be >= 1, got 0"),
+    ("S1", "run", "horizon", True, "run.horizon must be an integer, got True"),
+    ("S1", "run", "trailing_window", 5000,
+     "run.trailing_window must lie in [1, horizon], got 5000"),
+    ("S1", "run", "seed", -1, "run.seed must be >= 0, got -1"),
+    ("S1", "run", "output_dir", 5, "run.output_dir must be a string, got 5"),
+    ("S1", "run", "gain_mode", "fast",
+     "run.gain_mode must be one of ('exact', 'steady'), got 'fast'"),
+    ("S1", "run", "observation", "private",
+     "run.observation must be one of ('shared', 'independent'), got 'private'"),
+    ("S1", None, "network", DELETE, "missing key 'network' at config"),
+    ("S1", None, "extra", {}, "unknown key 'extra' at config"),
+    ("S1", None, "policy", [], "policy must be an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, section, key, value, message",
+    SINGLE_FAULTS,
+    ids=[f"{p}-{s or 'config'}.{k}={v!r}" for p, s, k, v, _ in SINGLE_FAULTS],
+)
+def test_single_fault_message_is_exact(tmp_path, preset, section, key, value, message):
+    doc = preset_doc(preset)
+    target = doc if section is None else doc[section]
+    if value == DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write_doc(tmp_path, doc))
+    assert str(excinfo.value) == message
+
+
+# ---------------------------------------------------------------------------
+# rules on direct construction
+
+
+def test_network_config_validates_on_construction():
+    with pytest.raises(InvalidParameterError, match=r"^n must be at least 3, got 2$"):
+        NetworkConfig(n=2, k_ws=1, p_ws=0.0, hub_node=1, hub_fraction=0.0, seed=0)
+
+
+def test_replace_revalidates_run_config():
+    run = load_preset("S1").run
+    with pytest.raises(
+        InvalidParameterError,
+        match=r"^trailing_window must lie in \[1, horizon\], got 0$",
+    ):
+        replace(run, trailing_window=0)
+
+
+def test_null_init_weights_load_as_uniform(tmp_path):
+    doc = preset_doc()
+    doc["model"]["init_weights"] = None
+    assert load_config(write_doc(tmp_path, doc)).model.init_weights == (0.5, 0.5)
+
+
+def test_null_stubborn_section_means_disabled(tmp_path):
+    doc = preset_doc("S3")
+    doc["stubborn"] = None
+    assert load_config(write_doc(tmp_path, doc)).stubborn.enabled is False
+
+
+def test_given_init_weights_are_rescaled_once(tmp_path):
+    doc = preset_doc()
+    doc["model"]["init_weights"] = [0.3, 0.7 + 4e-10]
+    model = load_config(write_doc(tmp_path, doc)).model
+    total = 0.3 + (0.7 + 4e-10)
+    assert model.init_weights == (0.3 / total, (0.7 + 4e-10) / total)
+    # replace re-runs the checks but never divides the weights again.
+    assert replace(model, theta=2.0).init_weights == model.init_weights
