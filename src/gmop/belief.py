@@ -196,81 +196,125 @@ def mixture_mean(belief: GaussianMixtureBelief) -> float:
     return float(np.dot(weights, means))
 
 
-def _normalize_log_weights(log_w: np.ndarray) -> tuple[np.ndarray, int]:
+def _normalize_log_weights(
+    log_w: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Renormalize per-row log weights with a max shift.
 
     Rows whose every entry is non-finite (all mode numerators underflowed or
     the inputs were degenerate) fall back to uniform weights. Returns the
     normalized weights and the number of degenerate rows. When every row's
     shift is finite, each row's largest numerator is exactly one, so no total
-    can vanish or overflow and the rows are normalized without masking.
+    can vanish or overflow and the rows are normalized without masking. The
+    weights are written into ``out`` when given, which may be ``log_w``
+    itself.
     """
     log_w = np.asarray(log_w, dtype=float)
-    squeeze = log_w.ndim == 1
-    if squeeze:
-        log_w = log_w[None, :]
-    shift = np.max(log_w, axis=1, keepdims=True)
-    if np.isfinite(shift).all():
-        numer = np.exp(log_w - shift)
-        weights, degenerate = numer / np.sum(numer, axis=1, keepdims=True), 0
+    if out is None:
+        out = np.empty_like(log_w)
+    if log_w.ndim == 1:
+        log_w, weights = log_w[None, :], out[None, :]
     else:
-        weights, degenerate = _masked_normalize(log_w, shift)
-    return (weights[0] if squeeze else weights), degenerate
+        weights = out
+    # The ufuncs' own reductions: the ndarray methods add a Python wrapper.
+    shift = np.maximum.reduce(log_w, axis=1, keepdims=True)
+    if np.isfinite(shift).all():
+        np.subtract(log_w, shift, out=weights)
+        np.exp(weights, out=weights)
+        np.divide(weights, np.add.reduce(weights, axis=1, keepdims=True), out=weights)
+        degenerate = 0
+    else:
+        _, degenerate = _masked_normalize(log_w, shift, weights)
+    return out, degenerate
 
 
-def _masked_normalize(log_w: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, int]:
+def _masked_normalize(
+    log_w: np.ndarray, shift: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Row normalization that sets degenerate rows to uniform weights."""
     bad = ~np.isfinite(shift[:, 0])
     with np.errstate(invalid="ignore"):
         numer = np.exp(log_w - shift)
-    total = np.sum(numer, axis=1, keepdims=True)
+    total = numer.sum(axis=1, keepdims=True)
     bad |= ~np.isfinite(total[:, 0]) | (total[:, 0] <= 0.0)
-    weights = np.empty_like(log_w)
+    weights = np.empty_like(log_w) if out is None else out
     ok = ~bad
-    if np.any(ok):
+    if ok.any():
         weights[ok] = numer[ok] / total[ok]
-    if np.any(bad):
+    if bad.any():
         weights[bad] = 1.0 / log_w.shape[1]
     return weights, int(np.count_nonzero(bad))
 
 
-def _bayes_arrays_exact(means, variances, weights, y, sigma_y):
+def _observation_column(y) -> np.ndarray:
+    """A scalar y, or per-agent observations as a column against (agents, M)."""
+    y = np.asarray(y, dtype=float)
+    return y[..., None] if y.ndim else y
+
+
+def _bayes_arrays_exact(means, variances, weights, y, sigma_y, out=None):
     """Observation update on stacked mode arrays, exact per-mode gains.
 
     means, variances, weights have shape (..., M); y is a scalar or an array
     broadcastable against the leading axes (one observation per agent).
-    Returns (means', variances', weights', degenerate_row_count).
+    Returns (means', variances', weights', degenerate_row_count). ``out``, a
+    triple of arrays shaped like means, receives the three updated arrays;
+    its weight array may be ``weights`` itself, the other two must not
+    overlap the inputs.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim:
-        y = y[..., None]
-    gain = variances / (variances + sigma_y)
-    post_means = means + gain * (y - means)
-    post_vars = variances * (sigma_y / (variances + sigma_y))
-    log_like = -0.5 * np.log(2.0 * np.pi * variances) - (y - means) ** 2 / (
-        2.0 * variances
-    )
+    if out is None:
+        out = tuple(np.empty(np.shape(means)) for _ in range(3))
+    post_means, post_vars, post_weights = out
+    innov = np.subtract(_observation_column(y), means)
+    scratch = np.add(variances, sigma_y)
+    # post_means = means + variances / (variances + sigma_y) * innov
+    np.divide(variances, scratch, out=post_means)
+    np.multiply(post_means, innov, out=post_means)
+    np.add(means, post_means, out=post_means)
+    # post_vars = variances * (sigma_y / (variances + sigma_y)); post_vars
+    # holds 2 * variances first, the denominator of the innovation term.
+    np.multiply(2.0, variances, out=post_vars)
+    np.square(innov, out=innov)
+    np.divide(innov, post_vars, out=innov)
+    np.divide(sigma_y, scratch, out=post_vars)
+    np.multiply(variances, post_vars, out=post_vars)
+    # log_like = -0.5 * log(2 pi variances) - innov**2 / (2 variances)
+    np.multiply(2.0 * np.pi, variances, out=scratch)
+    np.log(scratch, out=scratch)
+    np.multiply(-0.5, scratch, out=scratch)
+    np.subtract(scratch, innov, out=scratch)
+    # post_weights = normalized(log(weights) + log_like)
     with np.errstate(divide="ignore"):
-        log_w = np.log(weights) + log_like
-    post_weights, degenerate = _normalize_log_weights(log_w)
+        np.log(weights, out=post_weights)
+    np.add(post_weights, scratch, out=post_weights)
+    _, degenerate = _normalize_log_weights(post_weights, out=post_weights)
     return post_means, post_vars, post_weights, degenerate
 
-def _bayes_arrays_steady(means, weights, y, sigma_inf, sigma_y):
+
+def _bayes_arrays_steady(means, weights, y, sigma_inf, sigma_y, out=None):
     """Constant-gain observation update with variances frozen at sigma_inf.
 
     The weight exponent uses the fixed-point innovation scale
     (y - mu)^2 / (2 * (sigma_inf + sigma_y)); the common normalization factor
-    cancels in the renormalization and is omitted.
+    cancels in the renormalization and is omitted. ``out``, a pair of arrays
+    shaped like means, receives (means', weights'); its weight array may be
+    ``weights`` itself, its mean array must not overlap the inputs.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim:
-        y = y[..., None]
+    if out is None:
+        out = tuple(np.empty(np.shape(means)) for _ in range(2))
+    post_means, post_weights = out
+    innov = np.subtract(_observation_column(y), means)
     gain = sigma_inf / (sigma_inf + sigma_y)
-    post_means = means + gain * (y - means)
-    log_like = -((y - means) ** 2) / (2.0 * (sigma_inf + sigma_y))
+    np.multiply(gain, innov, out=post_means)
+    np.add(means, post_means, out=post_means)
+    # log_like = -(innov**2) / (2 * (sigma_inf + sigma_y))
+    np.square(innov, out=innov)
+    np.negative(innov, out=innov)
+    np.divide(innov, 2.0 * (sigma_inf + sigma_y), out=innov)
     with np.errstate(divide="ignore"):
-        log_w = np.log(weights) + log_like
-    post_weights, degenerate = _normalize_log_weights(log_w)
+        np.log(weights, out=post_weights)
+    np.add(post_weights, innov, out=post_weights)
+    _, degenerate = _normalize_log_weights(post_weights, out=post_weights)
     return post_means, post_weights, degenerate
 
 

@@ -13,12 +13,15 @@ Subcommands:
 A config is a strict JSON file or a preset name (S1..S4). The run seed can
 be overridden by ``--seed`` or, failing that, the ``GMOP_SEED`` environment
 variable; the network seed always comes from the config so replicates share
-one network instance.
+one network instance. The global ``-v/--log-level`` flag (default WARNING)
+sets which of gmop's log records, such as the engine's one guard warning per
+run, reach stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -62,6 +65,8 @@ __all__ = [
 
 #: Baseline slack added to every Monte Carlo tolerance.
 TOLERANCE_EPS = 1e-6
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 log = logging.getLogger(__name__)
 
@@ -518,6 +523,30 @@ def _cmd_emit_plots(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _log_level(level: str):
+    """Pass gmop's log records at `level` and above for one command.
+
+    A program that already handles gmop's records keeps its handlers; else
+    one stderr handler is added for the command (logging's last-resort
+    handler, the only one otherwise, drops records below WARNING).
+    """
+    logger = logging.getLogger("gmop")
+    previous = logger.level
+    handler = None
+    if not logger.hasHandlers():
+        handler = logging.StreamHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.setLevel(previous)
+        if handler is not None:
+            logger.removeHandler(handler)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gmop",
@@ -525,6 +554,10 @@ def main(argv: list[str] | None = None) -> int:
             "Simulate multi-modal opinion dynamics on social networks and "
             "check the runs against their closed-form predictions."
         ),
+    )
+    parser.add_argument(
+        "-v", "--log-level", default="WARNING", type=str.upper, choices=LOG_LEVELS,
+        help="report gmop's log records at this level and above (default: WARNING)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -567,7 +600,8 @@ def main(argv: list[str] | None = None) -> int:
         "emit-plots": _cmd_emit_plots,
     }[args.command]
     try:
-        return command(args)
+        with _log_level(args.log_level):
+            return command(args)
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,20 @@
 """Per-step simulation engine.
 
 One loop in :func:`simulate` is the only implementation of a step, and
-:func:`step` is one :func:`simulate` step. Each step (1) draws one noisy
+:func:`step` is one :func:`simulate` step. Each step (1) takes one noisy
 observation of the source, (2) folds it into every agent's mixture belief
 with the Bayesian update, (3) mixes means, variances, and weights with
 in-neighbors through the social policies, all reading post-Bayes values only
-(Jacobi-style, never partially updated neighbors) as products with CSR
-mixing matrices, and (4) overwrites stubborn agents' mode means with their
-pinned value. State is stacked into (agents, modes) arrays; the engine is
-deterministic given the generator passed in. Variances that mixing drives
-non-positive are clamped to ``VARIANCE_FLOOR``; the clamps and the weight
-degeneracies are counted in ``RunStats`` and reported in one warning per run.
+(Jacobi-style, never partially updated neighbors), and (4) overwrites
+stubborn agents' mode means with their pinned value. The post-Bayes means,
+variances and log weights are stacked into one preallocated buffer and mixed
+by one product with a block-diagonal CSR operator, built once per run from
+the policies' mixing matrices. Every observation is drawn before the loop in
+one call, which leaves the generator where per-step draws would. State is
+stacked into (agents, modes) arrays; the engine is deterministic given the
+generator passed in. Variances that mixing drives non-positive are clamped
+to ``VARIANCE_FLOOR``; the clamps and the weight degeneracies are counted in
+``RunStats`` and reported in one warning per run.
 
 Two gain modes exist. The default "exact" mode runs the full per-mode gains
 and variance recursion. The "steady" mode freezes every variance at the
@@ -29,6 +33,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .belief import (
     GaussianMixtureBelief,
@@ -243,7 +248,10 @@ class TrajectoryRecord:
 
 
 def draw_observation(obs: ObservationModel, rng: np.random.Generator) -> float:
-    """One noisy observation y = theta + sqrt(sigma_y) * z, z standard normal."""
+    """One noisy observation y = theta + sqrt(sigma_y) * z, z standard normal.
+
+    :func:`simulate` draws a run's observations the same way, all in one call.
+    """
     return float(obs.theta + math.sqrt(obs.sigma_y) * rng.standard_normal())
 
 
@@ -261,20 +269,6 @@ def _states_to_arrays(
     stubborn = np.array([s.stubborn for s in states], dtype=bool)
     values = np.array([s.stubborn_value for s in states], dtype=float)
     return means, variances, weights, stubborn, values
-
-
-def _draw_step_observation(
-    obs: ObservationModel,
-    rng: np.random.Generator,
-    n: int,
-    observation: str,
-    noise_free: bool,
-):
-    if noise_free:
-        return obs.theta if observation == "shared" else np.full(n, obs.theta)
-    if observation == "shared":
-        return draw_observation(obs, rng)
-    return obs.theta + math.sqrt(obs.sigma_y) * rng.standard_normal(n)
 
 
 def step(
@@ -357,44 +351,63 @@ def simulate(
         variances = np.full_like(variances, sigma_inf)
     geometric = policy.weight_policy == "geometric"
     any_stubborn = bool(stubborn.any())
-    mix_mu = _mixing_matrix(g, policy.delta_mu)
-    mix_sigma = None if steady else _mixing_matrix(g, policy.delta_sigma)
-    mix_alpha = _mixing_matrix(g, 1.0) if geometric else None
-
     n, m = means.shape
+    blocks = [_mixing_matrix(g, policy.delta_mu)]
+    if not steady:
+        blocks.append(_mixing_matrix(g, policy.delta_sigma))
+    if geometric:
+        blocks.append(_mixing_matrix(g, 1.0))
+    # One product mixes every stacked post-Bayes quantity. Each row of the
+    # block-diagonal CSR keeps its block's stored entries in order, so its
+    # sums are bit for bit those of one product per block.
+    operator = sparse.block_diag(blocks, format="csr")
+    stacked = np.empty((len(blocks) * n, m))
+    post_means = stacked[:n]
+    post_vars = None if steady else stacked[n:2 * n]
+    post_weights = stacked[-n:] if geometric else weights
+
+    shape = horizon if observation == "shared" else (horizon, n)
+    if noise_free:
+        rec_obs = np.full(shape, obs.theta, dtype=float)
+    else:
+        rec_obs = obs.theta + math.sqrt(obs.sigma_y) * rng.standard_normal(shape)
     rec_means = np.empty((horizon, n, m))
     rec_vars = np.empty((horizon, n, m))
     rec_weights = np.empty((horizon, n, m))
-    rec_obs = np.empty(horizon) if observation == "shared" else np.empty((horizon, n))
     stats = RunStats()
 
     for k in range(horizon):
-        y = _draw_step_observation(obs, rng, n, observation, noise_free)
         if steady:
-            post_means, weights, degenerate = _bayes_arrays_steady(
-                means, weights, y, sigma_inf, obs.sigma_y
+            _, _, degenerate = _bayes_arrays_steady(
+                means, weights, rec_obs[k], sigma_inf, obs.sigma_y,
+                out=(post_means, post_weights),
             )
         else:
-            post_means, post_vars, weights, degenerate = _bayes_arrays_exact(
-                means, variances, weights, y, obs.sigma_y
+            _, _, _, degenerate = _bayes_arrays_exact(
+                means, variances, weights, rec_obs[k], obs.sigma_y,
+                out=(post_means, post_vars, post_weights),
             )
-            variances = mix_sigma @ post_vars + policy.nu
+        stats.weight_degeneracies += degenerate
+        if geometric:
+            np.maximum(post_weights, GEOMETRIC_WEIGHT_FLOOR, out=post_weights)
+            np.log(post_weights, out=post_weights)
+        mixed = operator @ stacked
+        means = mixed[:n]
+        if any_stubborn:
+            means[stubborn, :] = values[stubborn, None]
+        if not steady:
+            variances = mixed[n:2 * n]
+            variances += policy.nu
             bad = int(np.count_nonzero(variances <= 0.0))
             if bad:
                 stats.variance_clamps += bad
-                variances = np.maximum(variances, VARIANCE_FLOOR)
-        stats.weight_degeneracies += degenerate
-        means = mix_mu @ post_means
+                np.maximum(variances, VARIANCE_FLOOR, out=variances)
         if geometric:
-            log_w = np.log(np.maximum(weights, GEOMETRIC_WEIGHT_FLOOR))
-            weights, degenerate = _normalize_log_weights(mix_alpha @ log_w)
+            weights, degenerate = _normalize_log_weights(mixed[-n:], out=mixed[-n:])
             stats.weight_degeneracies += degenerate
-        if any_stubborn:
-            means[stubborn, :] = values[stubborn, None]
         rec_means[k] = means
         rec_vars[k] = variances
         rec_weights[k] = weights
-        rec_obs[k] = y
 
     if stats.variance_clamps or stats.weight_degeneracies:
         log.warning(

@@ -381,6 +381,40 @@ def test_property_normalize_matches_masked_path_on_finite_rows(
     np.testing.assert_array_equal(single, masked[0])
 
 
+@settings(max_examples=200)
+@given(
+    rows=st.integers(min_value=1, max_value=20),
+    modes=st.integers(min_value=1, max_value=5),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+    dead=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_normalize_into_out_matches_allocating_call(
+    rows, modes, scale, dead, seed
+):
+    # dead > 0 sends some rows (dead = 1: every row) to all -inf, so the
+    # masked path runs; single -inf entries stay on either path.
+    r = np.random.default_rng(seed)
+    log_w = scale * r.standard_normal((rows, modes))
+    log_w[r.random((rows, modes)) < 0.2] = -np.inf
+    log_w[r.random(rows) < dead] = -np.inf
+    want, want_degenerate = _normalize_log_weights(log_w)
+    buf = np.full_like(log_w, np.nan)
+    got, degenerate = _normalize_log_weights(log_w, out=buf)
+    assert got is buf
+    assert degenerate == want_degenerate
+    np.testing.assert_array_equal(buf, want)
+    in_place = log_w.copy()
+    _, degenerate = _normalize_log_weights(in_place, out=in_place)
+    assert degenerate == want_degenerate
+    np.testing.assert_array_equal(in_place, want)
+    row = np.full(modes, np.nan)
+    single, degenerate = _normalize_log_weights(log_w[0], out=row)
+    assert single is row
+    assert degenerate == (not np.isfinite(log_w[0]).any())
+    np.testing.assert_array_equal(row, want[0])
+
+
 def test_normalize_all_minus_inf_rows_fall_back_to_uniform():
     log_w = np.array([[0.0, -1.0, -np.inf], [-np.inf] * 3, [2.0, 2.0, 2.0]])
     weights, degenerate = _normalize_log_weights(log_w)

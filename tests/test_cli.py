@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -626,6 +627,24 @@ def test_main_instability_message_names_the_gate(tmp_path, capsys, command, pinn
         args += ["--out", str(tmp_path / "run")]
     assert main(args) == 2
     assert capsys.readouterr().err == line + "\n"
+
+
+# The divergent forced run overflows its means (numpy RuntimeWarnings) on the
+# steps where the weights degenerate.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flags, shown", [([], True), (["--log-level", "error"], False),
+                                          (["-v", "INFO"], True)])
+def test_main_log_level_shows_or_hides_guard_warning(tmp_path, caplog, capsys,
+                                                     flags, shown):
+    cfg_path = write_config(tmp_path, raw_weight_config(horizon=400, window=10))
+    argv = flags + ["run", "--config", cfg_path, "--out", str(tmp_path / "run"),
+                    "--force"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    guards = [r for r in caplog.records
+              if r.name == "gmop.dynamics" and "weight degeneracies" in r.getMessage()]
+    assert len(guards) == (1 if shown else 0)
+    assert logging.getLogger("gmop").level == logging.NOTSET
 
 
 def test_main_seed_precedence(tmp_path, capsys, monkeypatch):

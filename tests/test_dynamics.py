@@ -6,6 +6,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gmop import (
     AgentState,
@@ -39,6 +40,10 @@ def rng(seed: int) -> np.random.Generator:
 
 def two_node_graph(w: float = 1.0) -> SocialGraph:
     return SocialGraph.from_edges(2, [(1, 2, w), (2, 1, w)])
+
+
+def ring_graph(n: int) -> SocialGraph:
+    return SocialGraph.from_edges(n, [(j + 1, (j + 1) % n + 1, 0.5) for j in range(n)])
 
 
 def empty_graph(n: int) -> SocialGraph:
@@ -635,11 +640,7 @@ GOLDEN_ENGINE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "gain_mode,weight_policy,stubborn",
-    list(itertools.product(("exact", "steady"), ("identity", "geometric"), (False, True))),
-)
-def test_simulate_matches_golden_digest(gain_mode, weight_policy, stubborn):
+def golden_run(gain_mode, weight_policy, stubborn, **kwargs):
     r = rng(2024)
     g = normalize_in_weights(
         assign_random_weights(generate_watts_strogatz(50, 4, 0.1, r), r)
@@ -654,7 +655,7 @@ def test_simulate_matches_golden_digest(gain_mode, weight_policy, stubborn):
         states[0] = AgentState(
             belief=states[0].belief, stubborn=True, stubborn_value=-1.0
         )
-    rec = simulate(
+    return simulate(
         states,
         g,
         plain_policy(weight_policy=weight_policy),
@@ -663,11 +664,140 @@ def test_simulate_matches_golden_digest(gain_mode, weight_policy, stubborn):
         rng=rng(7),
         gain_mode=gain_mode,
         sigma_inf=sigma_fixed_point(0.1, 0.1),
+        **kwargs,
     )
+
+
+def record_digest(arrays) -> str:
     digest = hashlib.sha256()
-    for arr in (rec.means, rec.variances, rec.weights):
+    for arr in arrays:
         digest.update(arr.tobytes())
-    assert digest.hexdigest() == GOLDEN_ENGINE_DIGESTS[gain_mode, weight_policy, stubborn]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "gain_mode,weight_policy,stubborn",
+    list(itertools.product(("exact", "steady"), ("identity", "geometric"), (False, True))),
+)
+def test_simulate_matches_golden_digest(gain_mode, weight_policy, stubborn):
+    rec = golden_run(gain_mode, weight_policy, stubborn)
+    digest = record_digest((rec.means, rec.variances, rec.weights))
+    assert digest == GOLDEN_ENGINE_DIGESTS[gain_mode, weight_policy, stubborn]
+
+
+# The same stubborn runs under both observation schemes, with and without
+# noise, hashing the recorded observations as well.
+GOLDEN_OBSERVED_DIGESTS = {
+    ("exact", "identity", "shared", False):
+        "e762819044bd8658d745004a51251c7a4982d6f29a15d62e29dafa6966fb7674",
+    ("exact", "identity", "shared", True):
+        "a659bf2705cbe11585b316b508723d20191d6e8116ad57083a607e086980b301",
+    ("exact", "identity", "independent", False):
+        "496ed38e2545bf2d31aba8fd455530ca605fbd73fa2f11c69cd43bf4eb1c8f8d",
+    ("exact", "identity", "independent", True):
+        "fef740e2a570127129440c3064722a74b69ade6224dc3b354621824e7dfdc9fe",
+    ("exact", "geometric", "shared", False):
+        "0211fbc0cc289256451b24e965bffde388136b7a0043cecaa953330a25f2ea6c",
+    ("exact", "geometric", "shared", True):
+        "53be3a4d65a0f066ba5c8a3111ea6e251a847d56dcc459561c4af4931799f89d",
+    ("exact", "geometric", "independent", False):
+        "983f8668aaaa22677b2dd23bc831a2e70b050d4575b8807354aa7e6eeb26837f",
+    ("exact", "geometric", "independent", True):
+        "044c1eadee8302f534099f07ba80dfef746e6a0bda77b7ddd149d0185392aab1",
+    ("steady", "identity", "shared", False):
+        "5f7e20e4c4ad94524e0d9fc104f88d93e42ed071aff349cfc486055d5cbe520e",
+    ("steady", "identity", "shared", True):
+        "badc55a57fbd84cf6f7312a701d1c9fe3708ccb6a37bc1c1501f73f89d5ffc5b",
+    ("steady", "identity", "independent", False):
+        "ad3df4c23f5df63ec63e44f6c14f8a072302b76507033d9d9f44afd31f2f22b2",
+    ("steady", "identity", "independent", True):
+        "7b6f0635d1b9e659f417455e681888755576583842b0f13861fa6504c65a827a",
+    ("steady", "geometric", "shared", False):
+        "adb369842e485de8a2d6ebf87a99d7a514ebd13ec83e562c654d55643fa2e857",
+    ("steady", "geometric", "shared", True):
+        "d428e76a1e54bedf2c5e8f6093e652db5cbc4c5dc1a7748a4c7babb30c1b2a42",
+    ("steady", "geometric", "independent", False):
+        "b29774759d70e025ac8a361411524fe333054f6eb196e30ae87f970562c5c2a2",
+    ("steady", "geometric", "independent", True):
+        "856e55946d87c44676028d4d8cf7e89cc8506bbef30a7f2f946311136453fac2",
+}
+
+
+@pytest.mark.parametrize(
+    "gain_mode,weight_policy,observation,noise_free",
+    list(itertools.product(
+        ("exact", "steady"), ("identity", "geometric"), ("shared", "independent"),
+        (False, True),
+    )),
+)
+def test_simulate_matches_golden_digest_with_observations(
+    gain_mode, weight_policy, observation, noise_free
+):
+    rec = golden_run(
+        gain_mode, weight_policy, True, observation=observation, noise_free=noise_free
+    )
+    digest = record_digest((rec.means, rec.variances, rec.weights, rec.observations))
+    key = gain_mode, weight_policy, observation, noise_free
+    assert digest == GOLDEN_OBSERVED_DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "observation,noise_free,normals_per_step",
+    [("shared", False, 1), ("independent", False, 5), ("shared", True, 0),
+     ("independent", True, 0)],
+)
+def test_simulate_leaves_generator_after_documented_draws(
+    observation, noise_free, normals_per_step
+):
+    # Callers keep drawing from the generator they passed in, so a run must
+    # consume exactly horizon * normals_per_step standard normals.
+    horizon, seed = 13, 404
+    r = rng(seed)
+    simulate(
+        uniform_states([[0.0, 1.0]] * 5),
+        ring_graph(5),
+        plain_policy(),
+        ObservationModel(theta=1.0, sigma_y=0.1),
+        horizon=horizon,
+        rng=r,
+        observation=observation,
+        noise_free=noise_free,
+    )
+    fresh = rng(seed)
+    fresh.standard_normal(horizon * normals_per_step)
+    assert r.standard_normal() == fresh.standard_normal()
+
+
+@pytest.mark.parametrize(
+    "gain_mode,weight_policy",
+    list(itertools.product(("exact", "steady"), ("identity", "geometric"))),
+)
+def test_simulate_makes_one_sparse_product_per_step(
+    monkeypatch, gain_mode, weight_policy
+):
+    # Means, variances (exact gain) and log weights (geometric policy) are
+    # mixed by one block-diagonal product per step.
+    products = []
+    matmul = sparse.csr_array.__matmul__
+
+    def counting(self, other):
+        products.append(self.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
+    n, horizon = 6, 9
+    simulate(
+        uniform_states([[0.0, 1.0]] * n),
+        ring_graph(n),
+        plain_policy(weight_policy=weight_policy),
+        ObservationModel(theta=1.0, sigma_y=0.1),
+        horizon=horizon,
+        rng=rng(3),
+        gain_mode=gain_mode,
+        sigma_inf=sigma_fixed_point(0.1, 0.1),
+    )
+    blocks = 1 + (gain_mode == "exact") + (weight_policy == "geometric")
+    assert products == [(blocks * n, blocks * n)] * horizon
 
 
 # ---------------------------------------------------------------------------
