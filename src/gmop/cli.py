@@ -49,6 +49,7 @@ from .network import (
     add_influencer_hub,
     assign_random_weights,
     generate_watts_strogatz,
+    _write_table,
     normalize_in_weights,
     save_edge_list,
 )
@@ -132,10 +133,6 @@ def initial_states(
             )
         )
     return states
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.16e}"
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -335,14 +332,13 @@ def sweep_centrality(config: SimulationConfig, mu_dagger: float) -> list[dict]:
 
 
 def write_centrality_csv(rows: list[dict], path: str | Path) -> None:
-    lines = ["node,score,gamma_min,gamma_max,stable"]
-    for r in rows:
-        lines.append(
-            f"{r['node']},{_format_float(r['score'])},"
-            f"{_format_float(r['gamma_min'])},{_format_float(r['gamma_max'])},"
-            f"{'true' if r['stable'] else 'false'}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    names = ("node", "score", "gamma_min", "gamma_max")
+    columns = [[r[name] for r in rows] for name in names]
+    columns.append(["true" if r["stable"] else "false" for r in rows])
+    _write_table(
+        path, "node,score,gamma_min,gamma_max,stable", "%d,%.16e,%.16e,%.16e,%s",
+        columns,
+    )
 
 
 def emit_plot_data(
@@ -369,42 +365,32 @@ def emit_plot_data(
             )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    refs = (
-        np.full(record.n_agents, math.nan)
-        if mean_references is None
-        else np.asarray(mean_references, dtype=float)
-    )
-
-    var_lines = ["k,agent,mode,sigma,sigma_ref"]
-    mean_lines = ["k,agent,mode,mu,reference"]
-    for k in range(record.n_steps):
-        for agent in selection:
-            a = agent - 1
-            for i in range(record.n_modes):
-                var_lines.append(
-                    f"{k + 1},{agent},{i + 1},"
-                    f"{_format_float(record.variances[k, a, i])},"
-                    f"{_format_float(sigma_inf)}"
-                )
-                mean_lines.append(
-                    f"{k + 1},{agent},{i + 1},"
-                    f"{_format_float(record.means[k, a, i])},"
-                    f"{_format_float(refs[a])}"
-                )
     equilibrium = record.trailing_mixture_means(trailing_window)
-    eq_lines = ["node,value"]
-    eq_lines.extend(
-        f"{j + 1},{_format_float(equilibrium[j])}" for j in range(record.n_agents)
+    chosen = np.asarray(selection) - 1
+    refs = math.nan if mean_references is None else (
+        np.asarray(mean_references, dtype=float)[chosen, None]
     )
-
+    k, pick, mode = np.indices(
+        (record.n_steps, chosen.size, record.n_modes), sparse=True
+    )
+    ids = (k + 1, chosen[pick] + 1, mode + 1)
     paths = {
         "variance": out / "variance_trajectories.csv",
         "mean": out / "mean_trajectories.csv",
         "equilibrium": out / "equilibrium_map.csv",
     }
-    paths["variance"].write_text("\n".join(var_lines) + "\n")
-    paths["mean"].write_text("\n".join(mean_lines) + "\n")
-    paths["equilibrium"].write_text("\n".join(eq_lines) + "\n")
+    _write_table(
+        paths["variance"], "k,agent,mode,sigma,sigma_ref", "%d,%d,%d,%.16e,%.16e",
+        (*ids, record.variances[:, chosen], sigma_inf),
+    )
+    _write_table(
+        paths["mean"], "k,agent,mode,mu,reference", "%d,%d,%d,%.16e,%.16e",
+        (*ids, record.means[:, chosen], refs),
+    )
+    _write_table(
+        paths["equilibrium"], "node,value", "%d,%.16e",
+        (np.arange(1, record.n_agents + 1), equilibrium),
+    )
     return paths
 
 

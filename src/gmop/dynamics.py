@@ -14,7 +14,9 @@ one call, which leaves the generator where per-step draws would. State is
 stacked into (agents, modes) arrays; the engine is deterministic given the
 generator passed in. Variances that mixing drives non-positive are clamped
 to ``VARIANCE_FLOOR``; the clamps and the weight degeneracies are counted in
-``RunStats`` and reported in one warning per run.
+``RunStats`` and reported in one warning per run, which also names the first
+step whose means are not finite. The step loop runs under one ``np.errstate``,
+so a diverging run raises no NumPy overflow warnings of its own.
 
 Two gain modes exist. The default "exact" mode runs the full per-mode gains
 and variance recursion. The "steady" mode freezes every variance at the
@@ -25,9 +27,9 @@ map A mu + B 1 y of the matrix form.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -43,7 +45,7 @@ from .belief import (
     _normalize_log_weights,
 )
 from .errors import InvalidParameterError
-from .network import SocialGraph, _mixing_matrix
+from .network import SocialGraph, _mixing_matrix, _write_table
 
 __all__ = [
     "PolicyConfig",
@@ -65,6 +67,8 @@ GEOMETRIC_WEIGHT_FLOOR = 1e-300
 
 #: Recorded weights must sum to 1 per agent within this tolerance.
 SIMPLEX_TOL = 1e-10
+
+_CSV_HEADER = "k,agent,mode,mu,sigma,alpha,y"
 
 WEIGHT_POLICIES = ("identity", "geometric")
 GAIN_MODES = ("exact", "steady")
@@ -191,56 +195,43 @@ class TrajectoryRecord:
     def to_csv(self, path: str | Path) -> None:
         """Write the long-format trajectory: k,agent,mode,mu,sigma,alpha,y.
 
-        Ids are 1-based; values print with 17 significant digits.
+        Rows run over steps, then agents, then modes, with 1-based ids; values
+        print with 17 significant digits.
         """
-        t, n, m = self.means.shape
-        shared = self.observations.ndim == 1
-        lines = ["k,agent,mode,mu,sigma,alpha,y"]
-        for k in range(t):
-            yk = self.observations[k]
-            for a in range(n):
-                y = float(yk) if shared else float(yk[a])
-                for i in range(m):
-                    lines.append(
-                        f"{k + 1},{a + 1},{i + 1},{self.means[k, a, i]:.16e},"
-                        f"{self.variances[k, a, i]:.16e},"
-                        f"{self.weights[k, a, i]:.16e},{y:.16e}"
-                    )
-        Path(path).write_text("\n".join(lines) + "\n")
+        k, agent, mode = (i + 1 for i in np.indices(self.means.shape, sparse=True))
+        y = self.observations.reshape(self.n_steps, -1, 1)  # (t, 1|n, 1)
+        _write_table(
+            path, _CSV_HEADER, "%d,%d,%d,%.16e,%.16e,%.16e,%.16e",
+            (k, agent, mode, self.means, self.variances, self.weights, y),
+        )
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TrajectoryRecord":
-        """Read a trajectory written by :meth:`to_csv`."""
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != ["k", "agent", "mode", "mu", "sigma", "alpha", "y"]:
-                raise InvalidParameterError(f"{path}: unexpected header {header}")
-            rows = [
-                (int(r[0]), int(r[1]), int(r[2]), float(r[3]), float(r[4]),
-                 float(r[5]), float(r[6]))
-                for r in reader
-            ]
-        if not rows:
+        """Read a trajectory written by :meth:`to_csv`.
+
+        Needs the full (k, agent, mode) grid in the written row order; reads
+        non-finite values as written.
+        """
+        with open(path) as f:
+            header = f.readline().rstrip("\n")
+            if header != _CSV_HEADER:
+                raise InvalidParameterError(f"{path}: unexpected header {header!r}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                try:
+                    table = np.loadtxt(f, delimiter=",", ndmin=2, usecols=range(7))
+                except ValueError as exc:
+                    raise InvalidParameterError(f"{path}: {exc}") from exc
+        if table.size == 0:
             raise InvalidParameterError(f"{path}: empty trajectory")
-        t = max(r[0] for r in rows)
-        n = max(r[1] for r in rows)
-        m = max(r[2] for r in rows)
-        means = np.full((t, n, m), np.nan)
-        variances = np.full((t, n, m), np.nan)
-        weights = np.full((t, n, m), np.nan)
-        obs = np.full((t, n), np.nan)
-        for k, a, i, mu, sigma, alpha, y in rows:
-            means[k - 1, a - 1, i - 1] = mu
-            variances[k - 1, a - 1, i - 1] = sigma
-            weights[k - 1, a - 1, i - 1] = alpha
-            obs[k - 1, a - 1] = y
-        if np.any(np.isnan(means)) or np.any(np.isnan(obs)):
+        # The last row holds (t, n, m); each row must sit where to_csv puts it.
+        shape = tuple(int(x) for x in table[-1, :3] if 1 <= x <= len(table))
+        if (len(shape) != 3 or math.prod(shape) != len(table) or not np.array_equal(
+                table[:, :3], np.indices(shape).reshape(3, -1).T + 1)):
             raise InvalidParameterError(f"{path}: incomplete trajectory grid")
-        if np.all(obs == obs[:, :1]):
-            observations = obs[:, 0]
-        else:
-            observations = obs
+        means, variances, weights, y = table[:, 3:].T.reshape(4, *shape)
+        obs = y[:, :, 0]
+        observations = obs[:, 0] if np.all(obs == obs[:, :1]) else obs
         return cls(
             means=means, variances=variances, weights=weights,
             observations=observations,
@@ -376,43 +367,46 @@ def simulate(
     rec_weights = np.empty((horizon, n, m))
     stats = RunStats()
 
-    for k in range(horizon):
-        if steady:
-            _, _, degenerate = _bayes_arrays_steady(
-                means, weights, rec_obs[k], sigma_inf, obs.sigma_y,
-                out=(post_means, post_weights),
-            )
-        else:
-            _, _, _, degenerate = _bayes_arrays_exact(
-                means, variances, weights, rec_obs[k], obs.sigma_y,
-                out=(post_means, post_vars, post_weights),
-            )
-        stats.weight_degeneracies += degenerate
-        if geometric:
-            np.maximum(post_weights, GEOMETRIC_WEIGHT_FLOOR, out=post_weights)
-            np.log(post_weights, out=post_weights)
-        mixed = operator @ stacked
-        means = mixed[:n]
-        if any_stubborn:
-            means[stubborn, :] = values[stubborn, None]
-        if not steady:
-            variances = mixed[n:2 * n]
-            variances += policy.nu
-            bad = int(np.count_nonzero(variances <= 0.0))
-            if bad:
-                stats.variance_clamps += bad
-                np.maximum(variances, VARIANCE_FLOOR, out=variances)
-        if geometric:
-            weights, degenerate = _normalize_log_weights(mixed[-n:], out=mixed[-n:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon):
+            if steady:
+                _, _, degenerate = _bayes_arrays_steady(
+                    means, weights, rec_obs[k], sigma_inf, obs.sigma_y,
+                    out=(post_means, post_weights),
+                )
+            else:
+                _, _, _, degenerate = _bayes_arrays_exact(
+                    means, variances, weights, rec_obs[k], obs.sigma_y,
+                    out=(post_means, post_vars, post_weights),
+                )
             stats.weight_degeneracies += degenerate
-        rec_means[k] = means
-        rec_vars[k] = variances
-        rec_weights[k] = weights
+            if geometric:
+                np.maximum(post_weights, GEOMETRIC_WEIGHT_FLOOR, out=post_weights)
+                np.log(post_weights, out=post_weights)
+            mixed = operator @ stacked
+            means = mixed[:n]
+            if any_stubborn:
+                means[stubborn, :] = values[stubborn, None]
+            if not steady:
+                variances = mixed[n:2 * n]
+                variances += policy.nu
+                bad = int(np.count_nonzero(variances <= 0.0))
+                if bad:
+                    stats.variance_clamps += bad
+                    np.maximum(variances, VARIANCE_FLOOR, out=variances)
+            if geometric:
+                weights, degenerate = _normalize_log_weights(mixed[-n:], out=mixed[-n:])
+                stats.weight_degeneracies += degenerate
+            rec_means[k] = means
+            rec_vars[k] = variances
+            rec_weights[k] = weights
 
     if stats.variance_clamps or stats.weight_degeneracies:
+        diverged = np.flatnonzero(~np.isfinite(rec_means).all(axis=(1, 2)))
         log.warning(
-            "run of %d steps: %d variance clamps, %d weight degeneracies",
+            "run of %d steps: %d variance clamps, %d weight degeneracies%s",
             horizon, stats.variance_clamps, stats.weight_degeneracies,
+            f"; means non-finite from step {diverged[0] + 1}" if diverged.size else "",
         )
     record = TrajectoryRecord(
         means=rec_means,

@@ -54,6 +54,9 @@ log = logging.getLogger(__name__)
 #: Largest matrix handed to the dense eigensolver by spectral_radius.
 DENSE_EIG_LIMIT = 512
 
+#: Rows that _write_table formats per block, bounding its string buffers.
+_TABLE_BLOCK_ROWS = 2**14
+
 
 def _frozen_array(values: np.ndarray) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -416,15 +419,30 @@ def check_row_sum_condition(g: SocialGraph) -> float:
     return float(np.max(np.abs(_in_laplacian(g) @ np.ones(g.n)), initial=0.0))
 
 
+def _write_table(path: str | Path, header: str, fmt: str, columns: Iterable) -> None:
+    """Write `header`, then one ``fmt % row`` line per row of `columns`.
+
+    The columns broadcast to one shape and are read in C order, a block of
+    ``_TABLE_BLOCK_ROWS`` rows at a time.
+    """
+    columns = np.broadcast_arrays(*columns)
+    line = fmt + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for start in range(0, columns[0].size, _TABLE_BLOCK_ROWS):
+            stop = start + _TABLE_BLOCK_ROWS
+            block = [c.flat[start:stop].tolist() for c in columns]
+            f.write("".join([line % row for row in zip(*block)]))
+
+
 def save_edge_list(g: SocialGraph, path: str | Path) -> None:
     """Write the plain-text edge list: header ``n=<N>``, lines ``i j w_ij``.
 
     Node ids are 1-based; weights print with 17 significant digits so the
     loader round-trips exactly.
     """
-    lines = [f"n={g.n}"]
-    lines.extend(f"{i} {j} {w:.16e}" for i, j, w in g.edges())
-    Path(path).write_text("\n".join(lines) + "\n")
+    coo = g.csr.tocoo()
+    _write_table(path, f"n={g.n}", "%d %d %.16e", (coo.row + 1, coo.col + 1, coo.data))
 
 
 def load_edge_list(path: str | Path) -> SocialGraph:

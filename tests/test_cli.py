@@ -492,6 +492,17 @@ def test_write_centrality_csv_format(tmp_path):
     assert lines[2].endswith(",false")
 
 
+# SHA-256 of centrality.csv for the raw-weight sweep: one stable row, then 49
+# unstable rows of nan scores and false flags.
+CENTRALITY_CSV_DIGEST = "e570241643de9a1e708f4621acd1ceac49e9ebf470792135ef8a084016ea2bc5"
+
+
+def test_write_centrality_csv_matches_golden_digest(tmp_path):
+    path = tmp_path / "centrality.csv"
+    write_centrality_csv(sweep_centrality(raw_weight_config(), mu_dagger=-1.0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CENTRALITY_CSV_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # plot data
 
@@ -522,6 +533,42 @@ def test_emit_plot_data_files_and_reference_columns(tmp_path):
     eq_lines = paths["equilibrium"].read_text().splitlines()
     assert eq_lines[0] == "node,value"
     assert len(eq_lines) == 1 + 50
+
+
+# SHA-256 of the three plot CSVs of an 80-step S1 run: once for an unsorted
+# selection with a repeat and the theory's references, once with no mean
+# references (a nan column).
+PLOT_DATA_DIGESTS = {
+    "unsorted-repeat": {
+        "variance": "22ab94b45e4a248c3e191eba62792d43d839837513f405cf3885bad4a1cbecf2",
+        "mean": "53da1f84306702cf38eaefcf96f3dce28a3a9c537d670b8fd3aec2785fbeb1f6",
+        "equilibrium": "461657964f8a9430334f02b53d85244ead51b60d6d79bbb69f1faec95ccae6f3",
+    },
+    "no-references": {
+        "variance": "07dd98ecd679609ba79698f7defcf0d2d643ca6869c4c0a252657cb0972a567f",
+        "mean": "f4de7cddffc028790bd2b8b35af072fc4137f6a6c94a77d12fedb59b66c518cb",
+        "equilibrium": "461657964f8a9430334f02b53d85244ead51b60d6d79bbb69f1faec95ccae6f3",
+    },
+}
+
+
+def test_emit_plot_data_matches_golden_digests(tmp_path):
+    result = run_experiment(small_config(), out_dir=tmp_path / "run")
+    cases = {
+        "unsorted-repeat": ([3, 1, 2, 3], np.asarray(result.summary["limit_mean"])),
+        "no-references": ([50, 1], None),
+    }
+    for name, (selection, references) in cases.items():
+        paths = emit_plot_data(
+            result.record, selection, tmp_path / name,
+            sigma_inf=result.summary["sigma_inf"], mean_references=references,
+            trailing_window=40,
+        )
+        digests = {
+            key: hashlib.sha256(path.read_bytes()).hexdigest()
+            for key, path in paths.items()
+        }
+        assert digests == PLOT_DATA_DIGESTS[name], name
 
 
 def test_emit_plot_data_rejects_bad_selection(tmp_path):
@@ -565,6 +612,19 @@ def test_main_run_then_emit_plots(tmp_path, capsys):
     for name in ("variance_trajectories", "mean_trajectories", "equilibrium_map"):
         assert (out / "plots" / f"{name}.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "row", ["1,1,1,0.5,x,0.5,1.0", "1,1,1,0.5,0.1,0.5"], ids=["non-numeric", "short-row"]
+)
+def test_main_emit_plots_reports_malformed_trajectory(tmp_path, capsys, row):
+    out = tmp_path / "run"
+    run_experiment(small_config(horizon=2, window=1), out_dir=out)
+    trajectory = out / "trajectory.csv"
+    lines = trajectory.read_text().splitlines()
+    trajectory.write_text("\n".join([*lines[:-1], row]) + "\n")
+    assert main(["emit-plots", "--run", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {trajectory}: ")
 
 
 def test_main_predict_stdout(tmp_path, capsys):
@@ -629,9 +689,6 @@ def test_main_instability_message_names_the_gate(tmp_path, capsys, command, pinn
     assert capsys.readouterr().err == line + "\n"
 
 
-# The divergent forced run overflows its means (numpy RuntimeWarnings) on the
-# steps where the weights degenerate.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("flags, shown", [([], True), (["--log-level", "error"], False),
                                           (["-v", "INFO"], True)])
 def test_main_log_level_shows_or_hides_guard_warning(tmp_path, caplog, capsys,
@@ -645,6 +702,19 @@ def test_main_log_level_shows_or_hides_guard_warning(tmp_path, caplog, capsys,
               if r.name == "gmop.dynamics" and "weight degeneracies" in r.getMessage()]
     assert len(guards) == (1 if shown else 0)
     assert logging.getLogger("gmop").level == logging.NOTSET
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergent_run_warns_once_with_first_non_finite_step(tmp_path, caplog):
+    # The forced raw-weight run's means overflow to inf and then NaN; numpy
+    # raises no warning, and the one guard warning names where it started.
+    with caplog.at_level(logging.WARNING, logger="gmop.dynamics"):
+        result = run_experiment(raw_weight_config(horizon=1000), out_dir=tmp_path,
+                                force=True)
+    [message] = [r.getMessage() for r in caplog.records if r.name == "gmop.dynamics"]
+    assert message.endswith("; means non-finite from step 683")
+    finite = np.isfinite(result.record.means).all(axis=(1, 2))
+    assert finite[:682].all() and not finite[682]
 
 
 def test_main_seed_precedence(tmp_path, capsys, monkeypatch):

@@ -874,22 +874,60 @@ def test_trajectory_csv_round_trip_independent_observations(tmp_path):
     np.testing.assert_array_equal(loaded.observations, rec.observations)
 
 
+# SHA-256 of trajectory.csv for the stubborn exact geometric golden run under
+# each observation scheme: pins every written byte of to_csv.
+TRAJECTORY_CSV_DIGESTS = {
+    "shared": "03c2065a2a4852268e97d5c6fe4203561264cc6f7a080da6dca6a8cf23198a03",
+    "independent": "dda73fb85d6b3e76f3b955375dabb9ce5056d2283f2c8e5d87feb60fb20b0c04",
+}
+
+
+@pytest.mark.parametrize("observation", ["shared", "independent"])
+def test_to_csv_matches_golden_digest(tmp_path, observation):
+    rec = golden_run("exact", "geometric", True, observation=observation)
+    path = tmp_path / "trajectory.csv"
+    rec.to_csv(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_CSV_DIGESTS[observation]
+
+
 def test_trajectory_csv_rejects_malformed_files(tmp_path):
-    bad_header = tmp_path / "bad_header.csv"
-    bad_header.write_text("a,b,c\n")
-    with pytest.raises(InvalidParameterError):
-        TrajectoryRecord.from_csv(bad_header)
+    header = "k,agent,mode,mu,sigma,alpha,y\n"
+    row = "1,1,1,0.0,1.0,1.0,0.5\n"
+    cases = {
+        "bad_header": "a,b,c\n",
+        "empty": header,
+        # (1,1,2) and (1,2,1) cells missing
+        "gappy": header + row + "1,2,2,0.0,1.0,1.0,0.5\n",
+        "step_0": header + row + "0,1,1,9.0,1.0,1.0,0.5\n",
+        # the full 2-step grid with its steps in reverse order
+        "reordered": header + "2,1,1,0.0,1.0,1.0,0.5\n" + row,
+        "non_numeric": header + "1,1,1,0.0,x,1.0,0.5\n",
+        "short_row": header + row + "2,1,1,0.0,1.0,1.0\n",
+        "six_columns": header + "1,1,1,0.0,1.0,1.0\n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidParameterError) as excinfo:
+            TrajectoryRecord.from_csv(path)
+        assert str(excinfo.value).startswith(f"{path}: "), name
 
-    empty = tmp_path / "empty.csv"
-    empty.write_text("k,agent,mode,mu,sigma,alpha,y\n")
-    with pytest.raises(InvalidParameterError):
-        TrajectoryRecord.from_csv(empty)
 
-    gappy = tmp_path / "gappy.csv"
-    gappy.write_text(
-        "k,agent,mode,mu,sigma,alpha,y\n"
-        "1,1,1,0.0,1.0,1.0,0.5\n"
-        "1,2,2,0.0,1.0,1.0,0.5\n"  # (1,1,2) and (1,2,1) cells missing
+@pytest.mark.parametrize("obs_shape", [(3,), (3, 2)], ids=["shared", "independent"])
+def test_trajectory_csv_round_trip_keeps_non_finite_values_exactly(tmp_path, obs_shape):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-310])
+    grid = np.resize(special, (3, 2, 2))
+    rec = TrajectoryRecord(
+        means=grid,
+        variances=grid[::-1].copy(),
+        weights=np.full((3, 2, 2), 0.5),
+        observations=np.resize([-0.0, 1.5, -2.5], obs_shape),
     )
-    with pytest.raises(InvalidParameterError):
-        TrajectoryRecord.from_csv(gappy)
+    path = tmp_path / "trajectory.csv"
+    rec.to_csv(path)
+    loaded = TrajectoryRecord.from_csv(path)
+    for name in ("means", "variances", "weights", "observations"):
+        want, got = getattr(rec, name), getattr(loaded, name)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
