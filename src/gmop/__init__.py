@@ -17,18 +17,15 @@ from .analysis import (
     sigma_fixed_point,
     stability_report,
     stubborn_equilibrium,
+    theory,
     verify_covariance_fixed_point,
 )
 from .belief import (
-    Gaussian,
     GaussianMixtureBelief,
     Mode,
     ObservationModel,
     PosteriorGrid,
     bayes_update,
-    gaussian_pdf,
-    mixture_mean,
-    mixture_pdf,
     posterior_oracle,
 )
 from .config import (
@@ -44,7 +41,6 @@ from .dynamics import (
     PolicyConfig,
     RunStats,
     TrajectoryRecord,
-    draw_observation,
     simulate,
     step,
 )

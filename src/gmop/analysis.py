@@ -14,7 +14,7 @@ agent has over the network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "stubborn_equilibrium",
     "centrality_score",
     "stability_report",
+    "theory",
     "predict",
     "build_summary",
 ]
@@ -89,22 +90,6 @@ def verify_covariance_fixed_point(
     return float(np.max(np.abs(residual)))
 
 
-def _partition(
-    a: sparse.csr_array, stubborn_id: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the CSR A into the dense malleable block and the stubborn column."""
-    n = a.shape[0]
-    if not (1 <= stubborn_id <= n):
-        raise InvalidParameterError(
-            f"stubborn node must lie in [1, {n}], got {stubborn_id}"
-        )
-    keep = np.delete(np.arange(n), stubborn_id - 1)
-    rows = a[keep]
-    a_sub = rows[:, keep].toarray()
-    a_col = rows[:, [stubborn_id - 1]].toarray()[:, 0]
-    return a_sub, a_col, keep
-
-
 def stubborn_equilibrium(
     g: SocialGraph,
     delta_mu: float,
@@ -125,12 +110,7 @@ def stubborn_equilibrium(
     The radius is eigensolved only when ||A||_inf does not bound it below one.
     """
     a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
-    a_sub, a_col, _ = _partition(a, stubborn_id)
-    # rho(A_sub) <= ||A_sub||_inf <= ||A||_inf, so a bound below one settles
-    # stability without the eigensolve.
-    bound = _inf_norm_bound(a)
-    rho = bound if bound < 1.0 else spectral_radius(a_sub)
-    return _pinned_solve(a_sub, a_col, sigma_scalar, rho, mu_dagger, theta)
+    return _pinned_solve(a, sigma_scalar, stubborn_id, mu_dagger, theta)
 
 
 def _inf_norm_bound(a: sparse.csr_array) -> float:
@@ -182,15 +162,32 @@ def _sweep_from_inverse(
 
 
 def _pinned_solve(
-    a_sub: np.ndarray, a_col: np.ndarray, sigma_scalar: float, rho: float,
-    mu_dagger: float, theta: float,
+    a: sparse.csr_array, sigma_scalar: float, stubborn_id: int,
+    mu_dagger: float, theta: float, rho: float | None = None,
 ) -> np.ndarray:
-    """Solve the reduced block system; rho is its spectral radius or a bound."""
+    """Solve the reduced block system of the CSR A with stubborn_id pinned.
+
+    Gated on rho, the block's radius; without it, on ||A||_inf or an eigensolve.
+    """
+    n = a.shape[0]
+    if not (1 <= stubborn_id <= n):
+        raise InvalidParameterError(
+            f"stubborn node must lie in [1, {n}], got {stubborn_id}"
+        )
+    keep = np.delete(np.arange(n), stubborn_id - 1)
+    rows = a[keep]
+    a_sub = rows[:, keep].toarray()
+    a_col = rows[:, [stubborn_id - 1]].toarray()[:, 0]
+    if rho is None:
+        # rho(A_sub) <= ||A_sub||_inf <= ||A||_inf, so a bound below one
+        # settles stability without the eigensolve.
+        bound = _inf_norm_bound(a)
+        rho = bound if bound < 1.0 else spectral_radius(a_sub)
     if rho >= 1.0:
         raise InstabilityError(
             f"reduced system is unstable: spectral radius {rho:.6f} >= 1"
         )
-    system = np.eye(a_sub.shape[0]) - a_sub
+    system = np.eye(n - 1) - a_sub
     rhs = (1.0 - sigma_scalar) * theta + a_col * mu_dagger
     try:
         gamma = np.linalg.solve(system, rhs)
@@ -241,27 +238,27 @@ class TheoryPrediction:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Hypothesis checks for the convergence results.
-
-    ``system`` holds the CSR A the radii came from and its sigma_scalar, so
-    a prediction made from this report reuses that build.
-    """
+    """Hypothesis checks for the convergence results."""
 
     spectral_radius: float
     stubborn_spectral_radius: float | None
     row_sum_residual: float
     sigma_inf: float
     conditions: dict
-    system: tuple[sparse.csr_array, float] | None = field(
-        default=None, repr=False, compare=False
-    )
+
+    @property
+    def gate(self) -> tuple[str, float]:
+        """Name and value of the deciding radius: rho(A), or the reduced block's."""
+        if self.stubborn_spectral_radius is None:
+            return "spectral radius", self.spectral_radius
+        return "reduced-system spectral radius", self.stubborn_spectral_radius
 
     def to_dict(self) -> dict:
         return {
+            "sigma_inf": self.sigma_inf,
             "spectral_radius": self.spectral_radius,
             "stubborn_spectral_radius": self.stubborn_spectral_radius,
             "row_sum_residual": self.row_sum_residual,
-            "sigma_inf": self.sigma_inf,
             "conditions": dict(self.conditions),
         }
 
@@ -285,18 +282,24 @@ def stability_report(
     then collapses to pure averaging with no observation injection, so the
     linear predictions stop being meaningful even though rho may be < 1.
     """
+    a, _ = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
+    return _stability_report(g, a, sigma_inf, stubborn)
+
+
+def _stability_report(
+    g: SocialGraph, a: sparse.csr_array, sigma_inf: float, stubborn: Iterable[int]
+) -> StabilityReport:
+    """Body of :func:`stability_report` on the already built CSR A."""
     stubborn = sorted(set(int(s) for s in stubborn))
     for s in stubborn:
         if not (1 <= s <= g.n):
             raise InvalidParameterError(f"stubborn node {s} outside [1, {g.n}]")
-    a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
     rho = spectral_radius(a)
     residual = check_row_sum_condition(g)
     stub_rho: float | None = None
     if stubborn:
         keep = np.delete(np.arange(g.n), np.array(stubborn) - 1)
-        if keep.size:
-            stub_rho = spectral_radius(a[keep][:, keep])
+        stub_rho = spectral_radius(a[keep][:, keep]) if keep.size else 0.0
     conditions = {
         "row_sum_ok": residual <= ROW_SUM_TOL,
         "spectral_ok": rho < 1.0,
@@ -310,7 +313,43 @@ def stability_report(
         row_sum_residual=residual,
         sigma_inf=sigma_inf,
         conditions=conditions,
-        system=(a, sigma_scalar),
+    )
+
+
+def theory(
+    g: SocialGraph,
+    delta_mu: float,
+    nu: float,
+    sigma_y: float,
+    theta: float,
+    stubborn_id: int | None = None,
+    mu_dagger: float | None = None,
+) -> tuple[StabilityReport, TheoryPrediction | None]:
+    """The stability report and, built from the same A, the closed-form limits.
+
+    The prediction is None exactly when the report's gate radius is >= 1. Its
+    limit mean is theta everywhere, or gamma with mu_dagger at a stubborn agent.
+    """
+    if stubborn_id is not None and mu_dagger is None:
+        raise InvalidParameterError("mu_dagger required with a stubborn agent")
+    sigma_inf = sigma_fixed_point(nu, sigma_y)
+    a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
+    report = _stability_report(
+        g, a, sigma_inf, () if stubborn_id is None else (stubborn_id,)
+    )
+    rho = report.gate[1]
+    if rho >= 1.0:
+        return report, None
+    limit_mean, c = asymptotic_mean_cov(theta, sigma_y, sigma_inf, g.n)
+    if stubborn_id is not None:
+        gamma = _pinned_solve(a, sigma_scalar, stubborn_id, mu_dagger, theta, rho)
+        limit_mean = np.insert(gamma, stubborn_id - 1, mu_dagger)
+    return report, TheoryPrediction(
+        sigma_inf=sigma_inf,
+        limit_mean=limit_mean,
+        limit_cov_scalar=c,
+        spectral_radius=report.spectral_radius,
+        conditions=dict(report.conditions),
     )
 
 
@@ -323,54 +362,14 @@ def predict(
     stubborn_id: int | None = None,
     mu_dagger: float | None = None,
 ) -> TheoryPrediction:
-    """Full closed-form prediction for one configured system.
-
-    Without a stubborn agent the limit mean is theta everywhere. With one,
-    the limit mean holds gamma at the malleable agents and mu_dagger at the
-    stubborn one (predictions require the reduced block to be stable).
-    """
-    sigma_inf = sigma_fixed_point(nu, sigma_y)
-    report = stability_report(
-        g,
-        delta_mu,
-        sigma_inf,
-        sigma_y,
-        stubborn=() if stubborn_id is None else (stubborn_id,),
-    )
-    return _predict_from_report(report, sigma_y, theta, stubborn_id, mu_dagger)
-
-
-def _predict_from_report(
-    report: StabilityReport, sigma_y: float, theta: float,
-    stubborn_id: int | None, mu_dagger: float | None,
-) -> TheoryPrediction:
-    """Body of :func:`predict` after its stability report.
-
-    The report must pin exactly stubborn_id; its reduced-block radius gates
-    the pinned solve and its system is the A partitioned, so neither the
-    eigensolve nor the build runs twice.
-    """
-    sigma_inf = report.sigma_inf
-    a, sigma_scalar = report.system
-    limit_mean, c = asymptotic_mean_cov(theta, sigma_y, sigma_inf, a.shape[0])
-    if stubborn_id is not None:
-        if mu_dagger is None:
-            raise InvalidParameterError("mu_dagger required with a stubborn agent")
-        a_sub, a_col, keep = _partition(a, stubborn_id)
-        gamma = _pinned_solve(
-            a_sub, a_col, sigma_scalar, report.stubborn_spectral_radius,
-            mu_dagger, theta,
+    """:func:`theory`'s prediction; InstabilityError when its gate radius is >= 1."""
+    report, prediction = theory(g, delta_mu, nu, sigma_y, theta, stubborn_id, mu_dagger)
+    if prediction is None:
+        system = "system" if stubborn_id is None else "reduced system"
+        raise InstabilityError(
+            f"{system} is unstable: spectral radius {report.gate[1]:.6f} >= 1"
         )
-        limit_mean = np.array(limit_mean)
-        limit_mean[keep] = gamma
-        limit_mean[stubborn_id - 1] = mu_dagger
-    return TheoryPrediction(
-        sigma_inf=sigma_inf,
-        limit_mean=limit_mean,
-        limit_cov_scalar=c,
-        spectral_radius=report.spectral_radius,
-        conditions=dict(report.conditions),
-    )
+    return prediction
 
 
 def build_summary(
@@ -384,11 +383,7 @@ def build_summary(
     limit fields are null and only the stability report is filled in.
     """
     return {
-        "sigma_inf": report.sigma_inf,
-        "spectral_radius": report.spectral_radius,
-        "stubborn_spectral_radius": report.stubborn_spectral_radius,
-        "row_sum_residual": report.row_sum_residual,
-        "conditions": dict(report.conditions),
+        **report.to_dict(),
         "limit_mean": (
             None if prediction is None
             else [float(x) for x in prediction.limit_mean]

@@ -23,13 +23,9 @@ import numpy as np
 from .errors import GridError, InvalidParameterError
 
 __all__ = [
-    "Gaussian",
     "Mode",
     "GaussianMixtureBelief",
     "ObservationModel",
-    "gaussian_pdf",
-    "mixture_pdf",
-    "mixture_mean",
     "bayes_update",
     "posterior_oracle",
     "PosteriorGrid",
@@ -44,22 +40,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    """Scalar Gaussian with mean and variance (not standard deviation)."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        _require_finite("mean", self.mean)
-        _require_finite("variance", self.variance)
-        if self.variance <= 0.0:
-            raise InvalidParameterError(
-                f"variance must be positive, got {self.variance}"
-            )
 
 
 class Mode(NamedTuple):
@@ -162,38 +142,6 @@ def _normal_pdf(x, mean, variance):
     return np.exp(-((x - mean) ** 2) / (2.0 * variance)) / np.sqrt(
         2.0 * np.pi * variance
     )
-
-
-def gaussian_pdf(x: float, component: Gaussian) -> float:
-    """Density of a scalar Gaussian at x.
-
-    Parameters
-    ----------
-    x : float
-        Evaluation point.
-    component : Gaussian
-        Mean and variance of the component.
-
-    Returns
-    -------
-    float
-        N(x | mean, variance).
-    """
-    _require_finite("x", x)
-    return float(_normal_pdf(x, component.mean, component.variance))
-
-
-def mixture_pdf(x: float, belief: GaussianMixtureBelief) -> float:
-    """Weighted sum of mode densities at x."""
-    _require_finite("x", x)
-    means, variances, weights = belief.as_arrays()
-    return float(np.sum(weights * _normal_pdf(x, means, variances)))
-
-
-def mixture_mean(belief: GaussianMixtureBelief) -> float:
-    """Weight-averaged mean of the mixture."""
-    means, _, weights = belief.as_arrays()
-    return float(np.dot(weights, means))
 
 
 def _normalize_log_weights(

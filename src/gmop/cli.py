@@ -140,37 +140,24 @@ def _write_json(doc: dict, path: Path) -> None:
 
 
 def _theory(config: SimulationConfig, g: SocialGraph):
-    """One theory pass: (report, gate_name, gate, prediction, gamma).
+    """:func:`analysis.theory` on a config: (report, prediction, gamma).
 
-    The gate is rho(A), or the reduced block's radius when an agent is pinned;
-    prediction and gamma are None when it is at least one.
+    gamma is the pinned run's malleable limit, else None.
     """
-    sigma_inf = analysis.sigma_fixed_point(config.policy.nu, config.model.sigma_y)
     pinned = config.stubborn.enabled
     stubborn_id = config.stubborn.node if pinned else None
-    report = analysis.stability_report(
-        g, config.policy.delta_mu, sigma_inf, config.model.sigma_y,
-        stubborn=(stubborn_id,) if pinned else (),
+    report, prediction = analysis.theory(
+        g, config.policy.delta_mu, config.policy.nu, config.model.sigma_y,
+        config.model.theta, stubborn_id, config.stubborn.mu_dagger if pinned else None,
     )
-    if pinned:
-        gate_name = "reduced-system spectral radius"
-        gate = report.stubborn_spectral_radius
-    else:
-        gate_name, gate = "spectral radius", report.spectral_radius
-    if gate >= 1.0:
-        return report, gate_name, gate, None, None
-    prediction = analysis._predict_from_report(
-        report, config.model.sigma_y, config.model.theta,
-        stubborn_id, config.stubborn.mu_dagger if pinned else None,
-    )
-    gamma = np.delete(prediction.limit_mean, stubborn_id - 1) if pinned else None
-    return report, gate_name, gate, prediction, gamma
+    if prediction is None or not pinned:
+        return report, prediction, None
+    return report, prediction, np.delete(prediction.limit_mean, stubborn_id - 1)
 
 
-def _diverges(
-    report: "analysis.StabilityReport", gate_name: str, gate: float, hint: str = ""
-) -> InstabilityError:
+def _diverges(report: "analysis.StabilityReport", hint: str = "") -> InstabilityError:
     """The error for a gate radius of at least one, shared by run and predict."""
+    gate_name, gate = report.gate
     return InstabilityError(
         f"{gate_name} {gate:.6f} >= 1; the configured dynamics diverge "
         f"(row-sum residual {report.row_sum_residual:.3e}).{hint}"
@@ -238,9 +225,9 @@ def run_experiment(
     unstable run records null predictions.
     """
     g = build_graph(config.network)
-    report, gate_name, gate, prediction, gamma = _theory(config, g)
+    report, prediction, gamma = _theory(config, g)
     if prediction is None and not force:
-        raise _diverges(report, gate_name, gate, " Pass --force to simulate anyway.")
+        raise _diverges(report, " Pass --force to simulate anyway.")
 
     record = simulate(
         initial_states(config, child_rng(config.run.seed, "init")),
@@ -455,9 +442,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     g = build_graph(config.network)
-    report, gate_name, gate, prediction, gamma = _theory(config, g)
+    report, prediction, gamma = _theory(config, g)
     if prediction is None:
-        raise _diverges(report, gate_name, gate)
+        raise _diverges(report)
     summary = analysis.build_summary(prediction, report, gamma=gamma)
     if args.out:
         out = Path(args.out)
@@ -489,7 +476,13 @@ def _cmd_emit_plots(args: argparse.Namespace) -> int:
         if not path.exists():
             raise ConfigError(f"{run_dir} is not a run directory (missing {path.name})")
     config = load_config(config_path)
-    summary = json.loads(summary_path.read_text())
+    try:
+        summary = json.loads(summary_path.read_text())
+        sigma_inf = float(summary["sigma_inf"])
+    except ValueError as exc:  # not JSON, or sigma_inf not a number
+        raise ConfigError(f"{summary_path}: {exc}") from None
+    except (KeyError, TypeError):
+        raise ConfigError(f"{summary_path}: no numeric sigma_inf") from None
     record = TrajectoryRecord.from_csv(trajectory_path)
     if args.nodes is None:
         selection = list(range(1, min(9, record.n_agents) + 1))
@@ -500,7 +493,7 @@ def _cmd_emit_plots(args: argparse.Namespace) -> int:
         record,
         selection,
         run_dir / "plots",
-        sigma_inf=float(summary["sigma_inf"]),
+        sigma_inf=sigma_inf,
         mean_references=None if references is None else np.asarray(references),
         trailing_window=config.run.trailing_window,
     )

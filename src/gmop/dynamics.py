@@ -52,7 +52,6 @@ __all__ = [
     "AgentState",
     "RunStats",
     "TrajectoryRecord",
-    "draw_observation",
     "step",
     "simulate",
 ]
@@ -158,11 +157,6 @@ class TrajectoryRecord:
     def n_modes(self) -> int:
         return self.means.shape[2]
 
-    def observation_for(self, k: int, agent: int) -> float:
-        """Observation seen by agent (1-based) at step k (1-based)."""
-        row = self.observations[k - 1]
-        return float(row if np.ndim(row) == 0 else row[agent - 1])
-
     def trailing_means(self, window: int) -> np.ndarray:
         """Per-agent per-mode average of means over the last `window` steps."""
         if not (1 <= window <= self.n_steps):
@@ -209,8 +203,11 @@ class TrajectoryRecord:
     def from_csv(cls, path: str | Path) -> "TrajectoryRecord":
         """Read a trajectory written by :meth:`to_csv`.
 
-        Needs the full (k, agent, mode) grid in the written row order; reads
-        non-finite values as written.
+        Needs the full (k, agent, mode) grid in the written row order, with
+        one y per (k, agent); reads non-finite values as written. Observations
+        equal across agents read back as shared, shape (t,): so does a
+        one-agent record with independent observations, which the format
+        cannot tell apart.
         """
         with open(path) as f:
             header = f.readline().rstrip("\n")
@@ -231,19 +228,13 @@ class TrajectoryRecord:
             raise InvalidParameterError(f"{path}: incomplete trajectory grid")
         means, variances, weights, y = table[:, 3:].T.reshape(4, *shape)
         obs = y[:, :, 0]
+        if not np.array_equal(y, np.broadcast_to(obs[..., None], shape), equal_nan=True):
+            raise InvalidParameterError(f"{path}: y differs across one agent's modes")
         observations = obs[:, 0] if np.all(obs == obs[:, :1]) else obs
         return cls(
             means=means, variances=variances, weights=weights,
             observations=observations,
         )
-
-
-def draw_observation(obs: ObservationModel, rng: np.random.Generator) -> float:
-    """One noisy observation y = theta + sqrt(sigma_y) * z, z standard normal.
-
-    :func:`simulate` draws a run's observations the same way, all in one call.
-    """
-    return float(obs.theta + math.sqrt(obs.sigma_y) * rng.standard_normal())
 
 
 def _states_to_arrays(

@@ -24,6 +24,7 @@ from gmop import (
     simulate,
     stability_report,
     stubborn_equilibrium,
+    theory,
     verify_covariance_fixed_point,
 )
 
@@ -327,6 +328,7 @@ def test_stability_report_on_generated_network():
     assert report.conditions["spectral_ok"]
     assert not report.conditions["degenerate_gain"]
     assert report.stubborn_spectral_radius is None
+    assert report.gate == ("spectral radius", report.spectral_radius)
     # In-weight normalization makes A a scaled stochastic matrix, so the
     # radius equals the scalar gain exactly.
     assert report.spectral_radius == pytest.approx(0.1 / (si + 0.1), rel=1e-9)
@@ -361,6 +363,9 @@ def test_stability_report_stubborn_block():
     assert report.stubborn_spectral_radius is not None
     assert report.stubborn_spectral_radius < 1.0
     assert report.conditions["stubborn_spectral_ok"]
+    assert report.gate == (
+        "reduced-system spectral radius", report.stubborn_spectral_radius
+    )
     with pytest.raises(InvalidParameterError):
         stability_report(g, 0.6, si, 0.1, stubborn=(11,))
 
@@ -383,9 +388,32 @@ def test_predict_with_stubborn_places_mu_dagger():
     others = np.delete(pred.limit_mean, 2)
     assert np.all(others > -1.0)
     assert np.all(others < 1.0)  # dragged strictly below the truth
+    gamma = stubborn_equilibrium(
+        g, 0.6, pred.sigma_inf, 0.1, stubborn_id=3, mu_dagger=-1.0, theta=1.0
+    )
+    np.testing.assert_array_equal(others, gamma)
 
 
 def test_predict_requires_mu_dagger_with_stubborn():
     g = seeded_graph(n=5)
     with pytest.raises(InvalidParameterError):
         predict(g, 0.6, nu=0.1, sigma_y=0.1, theta=1.0, stubborn_id=2)
+
+
+def test_theory_reports_without_prediction_when_unstable():
+    g = SocialGraph.from_edges(2, [(1, 2, 10.0), (2, 1, 10.0)])
+    report, prediction = theory(g, 0.6, nu=0.1, sigma_y=0.1, theta=1.0)
+    assert prediction is None
+    assert report == stability_report(g, 0.6, sigma_fixed_point(0.1, 0.1), 0.1)
+
+
+def test_predict_one_node_graph_with_its_node_pinned():
+    g = SocialGraph(n=1, weights=np.zeros((1, 1)))
+    pred = predict(g, 0.6, 0.1, 0.1, 1.0, stubborn_id=1, mu_dagger=-1.0)
+    assert pred.limit_mean.tolist() == [-1.0]
+    si = sigma_fixed_point(0.1, 0.1)
+    report = stability_report(g, 0.6, si, 0.1, stubborn=(1,))
+    assert report.stubborn_spectral_radius == 0.0
+    assert report.conditions["stubborn_spectral_ok"]
+    gamma = stubborn_equilibrium(g, 0.6, si, 0.1, stubborn_id=1, mu_dagger=-1.0, theta=1.0)
+    assert gamma.shape == (0,)

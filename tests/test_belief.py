@@ -1,4 +1,4 @@
-"""Tests for mixture beliefs, densities, and the observation update."""
+"""Tests for mixture beliefs and the observation update."""
 
 import math
 
@@ -8,15 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmop import (
-    Gaussian,
     GaussianMixtureBelief,
     GridError,
     InvalidParameterError,
     ObservationModel,
     bayes_update,
-    gaussian_pdf,
-    mixture_mean,
-    mixture_pdf,
     posterior_oracle,
 )
 from gmop.belief import _masked_normalize, _normalize_log_weights
@@ -35,83 +31,7 @@ def normal_density(x: float, mean: float, variance: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# densities
-
-
-def test_gaussian_pdf_standard_normal_at_zero():
-    value = gaussian_pdf(0.0, Gaussian(mean=0.0, variance=1.0))
-    assert value == pytest.approx(0.3989422804014327, rel=1e-12)
-    assert value == pytest.approx(0.398942, abs=1e-6)
-
-
-@pytest.mark.parametrize("variance", [0.25, 1.0, 2.25, 7.0])
-def test_gaussian_pdf_peak_is_inverse_sqrt_scale(variance):
-    peak = gaussian_pdf(1.3, Gaussian(mean=1.3, variance=variance))
-    assert peak == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * variance), rel=1e-12)
-
-
-def test_gaussian_pdf_shift_invariant_at_center():
-    # Same height at the mean regardless of where the mean sits.
-    assert gaussian_pdf(-2.0, Gaussian(-2.0, 1.0)) == pytest.approx(
-        0.398942, abs=1e-6
-    )
-
-
-def test_gaussian_pdf_positive_and_finite():
-    g = Gaussian(mean=0.5, variance=0.01)
-    for x in np.linspace(-50.0, 50.0, 101):
-        value = gaussian_pdf(float(x), g)
-        assert value >= 0.0
-        assert math.isfinite(value)
-
-
-def test_gaussian_pdf_integrates_to_one():
-    g = Gaussian(mean=-1.0, variance=2.25)
-    xs = np.linspace(-1.0 - 12 * 1.5, -1.0 + 12 * 1.5, 200_001)
-    total = np.trapezoid([gaussian_pdf(float(x), g) for x in xs], xs)
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
-def test_gaussian_rejects_non_positive_variance(variance):
-    with pytest.raises(InvalidParameterError):
-        Gaussian(mean=0.0, variance=variance)
-
-
-def test_mixture_pdf_single_mode_matches_gaussian():
-    b = GaussianMixtureBelief.from_arrays([0.7], [0.4], [1.0])
-    g = Gaussian(mean=0.7, variance=0.4)
-    for x in np.linspace(-4.0, 4.0, 33):
-        assert mixture_pdf(float(x), b) == pytest.approx(
-            gaussian_pdf(float(x), g), rel=1e-14
-        )
-
-
-def test_mixture_pdf_two_mode_componentwise():
-    b = two_mode_belief()
-    expected = 0.3 * normal_density(0.0, -2.0, 1.0) + 0.7 * normal_density(
-        0.0, 3.0, 2.25
-    )
-    assert mixture_pdf(0.0, b) == pytest.approx(expected, rel=1e-14)
-    assert mixture_pdf(0.0, b) == pytest.approx(0.04139307432677751, rel=1e-12)
-
-
-def test_mixture_pdf_dominates_weighted_smallest_component():
-    b = two_mode_belief()
-    for x in np.linspace(-8.0, 9.0, 69):
-        components = [
-            normal_density(float(x), m.mean, m.variance) for m in b.modes
-        ]
-        floor = min(b.weights) * min(components)
-        assert mixture_pdf(float(x), b) >= floor
-
-
-def test_mixture_mean_examples():
-    single = GaussianMixtureBelief.from_arrays([2.5], [1.0], [1.0])
-    assert mixture_mean(single) == pytest.approx(2.5, abs=0.0)
-    assert mixture_mean(two_mode_belief()) == pytest.approx(1.5, rel=1e-14)
-    symmetric = GaussianMixtureBelief.from_arrays([-3.0, 3.0], [1.0, 1.0], [0.5, 0.5])
-    assert mixture_mean(symmetric) == pytest.approx(0.0, abs=1e-15)
+# construction
 
 
 def test_mixture_construction_rejects_bad_weights():
@@ -343,17 +263,6 @@ def test_property_update_order_invariant(raw, y, sigma_y, seed):
     np.testing.assert_allclose(
         np.array(permuted.weights), np.array(direct.weights)[perm], rtol=0, atol=1e-13
     )
-
-
-@settings(max_examples=50, deadline=None)
-@given(raw=mixtures, x=st.floats(min_value=-10.0, max_value=10.0))
-def test_property_mixture_pdf_componentwise(raw, x):
-    b = build_mixture(raw)
-    expected = sum(
-        w * normal_density(x, m, v)
-        for w, m, v in zip(b.weights, b.means, b.variances)
-    )
-    assert mixture_pdf(x, b) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------

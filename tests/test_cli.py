@@ -8,7 +8,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +221,26 @@ def test_predict_rejects_unstable_reduced_block():
     assert str(from_solve.value) == (
         "reduced system is unstable: spectral radius 2.835576 >= 1"
     )
+
+
+@pytest.mark.parametrize(
+    "pinned, message",
+    [(None, "system is unstable: spectral radius 2.839289 >= 1"),
+     (2, "reduced system is unstable: spectral radius 2.835576 >= 1")],
+    ids=["plain", "pinned"],
+)
+def test_library_predict_raises_where_cli_predict_exits_2(tmp_path, capsys, pinned,
+                                                          message):
+    cfg = raw_weight_config()
+    if pinned is not None:
+        cfg = replace(cfg, stubborn=replace(cfg.stubborn, enabled=True, node=pinned))
+    assert main(["predict", "--config", write_config(tmp_path, cfg)]) == 2
+    capsys.readouterr()
+    policy, model = cfg.policy, cfg.model
+    with pytest.raises(InstabilityError) as excinfo:
+        predict(build_graph(cfg.network), policy.delta_mu, policy.nu, model.sigma_y,
+                model.theta, stubborn_id=pinned, mu_dagger=cfg.stubborn.mu_dagger)
+    assert str(excinfo.value) == message
 
 
 def test_one_eigensolve_per_radius(tmp_path, capsys, monkeypatch):
@@ -627,6 +649,27 @@ def test_main_emit_plots_reports_malformed_trajectory(tmp_path, capsys, row):
     assert capsys.readouterr().err.startswith(f"error: {trajectory}: ")
 
 
+@pytest.mark.parametrize(
+    "content", ["not json", '{"limit_mean": null}', '{"sigma_inf": "x"}', "[]"],
+    ids=["not-json", "no-sigma-inf", "text-sigma-inf", "list"],
+)
+def test_main_emit_plots_reports_bad_summary(tmp_path, capsys, content):
+    out = tmp_path / "run"
+    run_experiment(small_config(horizon=2, window=1), out_dir=out)
+    summary = out / "summary.json"
+    summary.write_text(content)
+    assert main(["emit-plots", "--run", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {summary}: ")
+
+
+@pytest.mark.parametrize("preset", ["S1", "S2", "S3", "S4"])
+def test_run_summary_equals_predict_stdout(tmp_path, capsys, preset):
+    cfg = small_config(preset, horizon=4, window=2)
+    run_experiment(cfg, out_dir=tmp_path / "run")
+    assert main(["predict", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "run" / "summary.json").read_text()
+
+
 def test_main_predict_stdout(tmp_path, capsys):
     assert main(["predict", "--preset", "S1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -755,3 +798,13 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["sigma_inf"] == pytest.approx(0.370156, abs=1e-6)
+
+
+def test_readme_library_use_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = StringIO()
+    with redirect_stdout(printed):
+        exec(code, {})
+    assert printed.getvalue().strip()

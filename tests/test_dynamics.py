@@ -18,7 +18,6 @@ from gmop import (
     TrajectoryRecord,
     bayes_update,
     build_system_matrices,
-    draw_observation,
     assign_random_weights,
     generate_watts_strogatz,
     normalize_in_weights,
@@ -69,27 +68,36 @@ def uniform_states(means_rows, variance=1.0) -> list[AgentState]:
 
 
 # ---------------------------------------------------------------------------
-# observation draws
+# observation draws, as simulate records them
 
 
-def test_draw_observation_degenerate_noise_hugs_theta():
-    obs = ObservationModel(theta=2.0, sigma_y=1e-12)
-    r = rng(1003)
-    draws = np.array([draw_observation(obs, r) for _ in range(1000)])
+def recorded_draws(theta: float, sigma_y: float, horizon: int, seed: int) -> np.ndarray:
+    """Independent observations of 100 unconnected agents over `horizon` steps."""
+    rec = simulate(
+        uniform_states([[0.0]] * 100),
+        empty_graph(100),
+        plain_policy(),
+        ObservationModel(theta=theta, sigma_y=sigma_y),
+        horizon=horizon,
+        rng=rng(seed),
+        observation="independent",
+    )
+    assert rec.observations.shape == (horizon, 100)
+    return rec.observations
+
+
+def test_simulate_observations_degenerate_noise_hugs_theta():
+    draws = recorded_draws(theta=2.0, sigma_y=1e-12, horizon=10, seed=1003)
     assert np.max(np.abs(draws - 2.0)) < 1e-5
 
 
-def test_draw_observation_sample_mean():
-    obs = ObservationModel(theta=1.0, sigma_y=0.1)
-    r = rng(1001)
-    draws = np.array([draw_observation(obs, r) for _ in range(100_000)])
+def test_simulate_observations_sample_mean():
+    draws = recorded_draws(theta=1.0, sigma_y=0.1, horizon=1000, seed=1001)
     assert draws.mean() == pytest.approx(1.0, abs=0.004)
 
 
-def test_draw_observation_sample_variance():
-    obs = ObservationModel(theta=0.0, sigma_y=1.0)
-    r = rng(1002)
-    draws = np.array([draw_observation(obs, r) for _ in range(100_000)])
+def test_simulate_observations_sample_variance():
+    draws = recorded_draws(theta=0.0, sigma_y=1.0, horizon=1000, seed=1002)
     assert draws.var(ddof=1) == pytest.approx(1.0, abs=0.015)
 
 
@@ -353,7 +361,6 @@ def test_simulate_single_step_shapes():
     assert rec.n_agents == 2
     assert rec.n_modes == 2
     assert rec.observations.shape == (1,)
-    assert rec.observation_for(1, 1) == rec.observation_for(1, 2)
 
 
 def test_simulate_rejects_zero_horizon():
@@ -503,7 +510,7 @@ def test_simulate_independent_observations_shape():
         observation="independent",
     )
     assert rec.observations.shape == (7, 2)
-    assert rec.observation_for(1, 1) != rec.observation_for(1, 2)
+    assert np.all(rec.observations[:, 0] != rec.observations[:, 1])
 
 
 def test_simulate_step_is_bayes_update_then_mixing():
@@ -905,6 +912,8 @@ def test_trajectory_csv_rejects_malformed_files(tmp_path):
         "non_numeric": header + "1,1,1,0.0,x,1.0,0.5\n",
         "short_row": header + row + "2,1,1,0.0,1.0,1.0\n",
         "six_columns": header + "1,1,1,0.0,1.0,1.0\n",
+        # one agent whose two modes disagree on the y it saw
+        "mode_y_differs": header + "1,1,1,0.0,1.0,0.5,0.5\n1,1,2,0.0,1.0,0.5,9.0\n",
     }
     for name, text in cases.items():
         path = tmp_path / f"{name}.csv"
@@ -912,6 +921,20 @@ def test_trajectory_csv_rejects_malformed_files(tmp_path):
         with pytest.raises(InvalidParameterError) as excinfo:
             TrajectoryRecord.from_csv(path)
         assert str(excinfo.value).startswith(f"{path}: "), name
+
+
+def test_trajectory_csv_reads_one_agent_independent_record_as_shared(tmp_path):
+    # One agent's column is all the format holds, so it cannot say "independent".
+    rec = TrajectoryRecord(
+        means=np.zeros((3, 1, 2)),
+        variances=np.ones((3, 1, 2)),
+        weights=np.full((3, 1, 2), 0.5),
+        observations=np.array([[0.5], [1.5], [-2.5]]),
+    )
+    path = tmp_path / "trajectory.csv"
+    rec.to_csv(path)
+    loaded = TrajectoryRecord.from_csv(path)
+    np.testing.assert_array_equal(loaded.observations, rec.observations[:, 0])
 
 
 @pytest.mark.parametrize("obs_shape", [(3,), (3, 2)], ids=["shared", "independent"])
