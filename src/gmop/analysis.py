@@ -8,7 +8,8 @@ to the truth theta with limiting covariance c 1 1^T, c = sigma_y *
 sigma_inf / (sigma_inf + 2 sigma_y). Pinning one agent's means to mu_dagger
 shifts the crowd to the equilibrium gamma of the reduced block system, and
 the average displacement of gamma from theta measures how much leverage that
-agent has over the network.
+agent has over the network. :func:`sweep` scores every node that way from
+one build of A.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "verify_covariance_fixed_point",
     "stubborn_equilibrium",
     "centrality_score",
+    "sweep",
     "stability_report",
     "theory",
     "predict",
@@ -126,41 +128,6 @@ def _inf_norm_bound(a: sparse.csr_array) -> float:
     return norm * (1.0 + 2.0 * (k + 1) * np.finfo(float).eps)
 
 
-def _sweep_from_inverse(
-    g: SocialGraph,
-    delta_mu: float,
-    sigma_inf: float,
-    sigma_y: float,
-    mu_dagger: float,
-    theta: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Centrality score, gamma_min and gamma_max of every node, in node order.
-
-    Rows of A + B sum to one, so pinning node s at mu_dagger gives the
-    Friedkin-Johnsen equilibrium gamma(s) = theta + (mu_dagger - theta) h(s),
-    where h(s) is G e_s / G_ss with entry s dropped and G = (I - A)^-1: one
-    inverse scores every node, and
-    score(s) = |mu_dagger - theta| * mean_j |h_j(s)|.
-
-    Returns None unless ||A||_inf < 1 (:func:`_inf_norm_bound`). That bound
-    makes every reduced block stable, since rho(A_sub) <= ||A_sub||_inf <=
-    ||A||_inf, and bounds the condition number of I - A by
-    (1 + ||A||_inf) / (1 - ||A||_inf). Callers fall back to per-node
-    :func:`stubborn_equilibrium` solves when it fails.
-    """
-    a, _ = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
-    if _inf_norm_bound(a) >= 1.0:
-        return None
-    n = g.n
-    green = np.linalg.inv(np.eye(n) - a.toarray())
-    # Row s of h is column s of G over G_ss with entry s dropped.
-    h = (green / np.diag(green)).T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    shift = mu_dagger - theta
-    gamma = theta + shift * h
-    score = abs(shift) * np.mean(np.abs(h), axis=1)
-    return score, gamma.min(axis=1), gamma.max(axis=1)
-
-
 def _pinned_solve(
     a: sparse.csr_array, sigma_scalar: float, stubborn_id: int,
     mu_dagger: float, theta: float, rho: float | None = None,
@@ -225,15 +192,66 @@ def centrality_score(
     return float(np.mean(np.abs(gamma - theta)))
 
 
+def sweep(
+    g: SocialGraph,
+    delta_mu: float,
+    sigma_inf: float,
+    sigma_y: float,
+    mu_dagger: float,
+    theta: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score, gamma_min, gamma_max and stable flag of every node, in node order.
+
+    Builds A once. When ||A||_inf < 1 (:func:`_inf_norm_bound`), every
+    reduced block is stable, since rho(A_sub) <= ||A_sub||_inf <= ||A||_inf,
+    the condition number of I - A is at most (1 + ||A||_inf) / (1 - ||A||_inf),
+    and one inverse scores every node: rows of A + B sum to one, so pinning
+    node s at mu_dagger gives the Friedkin-Johnsen equilibrium
+    gamma(s) = theta + (mu_dagger - theta) h(s), where h(s) is G e_s / G_ss
+    with entry s dropped and G = (I - A)^-1, and
+    score(s) = |mu_dagger - theta| * mean_j |h_j(s)|. Otherwise each node
+    gets its own reduced-block solve on that A, as in
+    :func:`stubborn_equilibrium`; a node whose block is unstable or singular
+    reads NaN with stable False.
+    """
+    a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
+    n = g.n
+    if _inf_norm_bound(a) < 1.0:
+        green = np.linalg.inv(np.eye(n) - a.toarray())
+        # Row s of h is column s of G over G_ss with entry s dropped.
+        h = (green / np.diag(green)).T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        shift = mu_dagger - theta
+        gamma = theta + shift * h
+        score = abs(shift) * np.mean(np.abs(h), axis=1)
+        return score, gamma.min(axis=1), gamma.max(axis=1), np.ones(n, dtype=bool)
+    score, gamma_min, gamma_max = np.full((3, n), np.nan)
+    stable = np.zeros(n, dtype=bool)
+    for s in range(n):
+        try:
+            gamma = _pinned_solve(a, sigma_scalar, s + 1, mu_dagger, theta)
+        except (InstabilityError, NumericalError):
+            continue
+        score[s] = np.mean(np.abs(gamma - theta))
+        gamma_min[s], gamma_max[s], stable[s] = gamma.min(), gamma.max(), True
+    return score, gamma_min, gamma_max, stable
+
+
 @dataclass(frozen=True)
 class TheoryPrediction:
-    """Bundle of the closed-form limits for one configured system."""
+    """Bundle of the closed-form limits for one configured system.
+
+    With a stubborn agent, gamma is the malleable agents' limit (node order,
+    the stubborn node skipped) and centrality is mean |gamma - theta|; both
+    are None without one, and centrality is None when no agent is malleable.
+    """
 
     sigma_inf: float
     limit_mean: np.ndarray
     limit_cov_scalar: float
     spectral_radius: float
     conditions: dict
+    gamma: np.ndarray | None
+    centrality: float | None
 
 
 @dataclass(frozen=True)
@@ -341,15 +359,20 @@ def theory(
     if rho >= 1.0:
         return report, None
     limit_mean, c = asymptotic_mean_cov(theta, sigma_y, sigma_inf, g.n)
+    gamma = centrality = None
     if stubborn_id is not None:
         gamma = _pinned_solve(a, sigma_scalar, stubborn_id, mu_dagger, theta, rho)
         limit_mean = np.insert(gamma, stubborn_id - 1, mu_dagger)
+        if gamma.size:
+            centrality = float(np.mean(np.abs(gamma - theta)))
     return report, TheoryPrediction(
         sigma_inf=sigma_inf,
         limit_mean=limit_mean,
         limit_cov_scalar=c,
         spectral_radius=report.spectral_radius,
         conditions=dict(report.conditions),
+        gamma=gamma,
+        centrality=centrality,
     )
 
 
@@ -373,15 +396,14 @@ def predict(
 
 
 def build_summary(
-    prediction: TheoryPrediction | None,
-    report: StabilityReport,
-    gamma: np.ndarray | None = None,
+    prediction: TheoryPrediction | None, report: StabilityReport
 ) -> dict:
     """Assemble the summary document written next to run artifacts.
 
     With no prediction (an unstable system simulated under --force) the
     limit fields are null and only the stability report is filled in.
     """
+    gamma = None if prediction is None else prediction.gamma
     return {
         **report.to_dict(),
         "limit_mean": (
@@ -390,5 +412,5 @@ def build_summary(
         ),
         "limit_cov_scalar": None if prediction is None else prediction.limit_cov_scalar,
         "gamma": None if gamma is None else [float(x) for x in gamma],
-        "centrality": None,
+        "centrality": None if prediction is None else prediction.centrality,
     }

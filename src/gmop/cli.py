@@ -43,7 +43,7 @@ from .config import (
     save_config,
 )
 from .dynamics import AgentState, TrajectoryRecord, simulate
-from .errors import ConfigError, GmopError, InstabilityError, NumericalError
+from .errors import ConfigError, GmopError, InstabilityError
 from .network import (
     SocialGraph,
     add_influencer_hub,
@@ -140,19 +140,13 @@ def _write_json(doc: dict, path: Path) -> None:
 
 
 def _theory(config: SimulationConfig, g: SocialGraph):
-    """:func:`analysis.theory` on a config: (report, prediction, gamma).
-
-    gamma is the pinned run's malleable limit, else None.
-    """
+    """:func:`analysis.theory` on a config: (report, prediction)."""
     pinned = config.stubborn.enabled
-    stubborn_id = config.stubborn.node if pinned else None
-    report, prediction = analysis.theory(
+    return analysis.theory(
         g, config.policy.delta_mu, config.policy.nu, config.model.sigma_y,
-        config.model.theta, stubborn_id, config.stubborn.mu_dagger if pinned else None,
+        config.model.theta, config.stubborn.node if pinned else None,
+        config.stubborn.mu_dagger if pinned else None,
     )
-    if prediction is None or not pinned:
-        return report, prediction, None
-    return report, prediction, np.delete(prediction.limit_mean, stubborn_id - 1)
 
 
 def _diverges(report: "analysis.StabilityReport", hint: str = "") -> InstabilityError:
@@ -225,7 +219,7 @@ def run_experiment(
     unstable run records null predictions.
     """
     g = build_graph(config.network)
-    report, prediction, gamma = _theory(config, g)
+    report, prediction = _theory(config, g)
     if prediction is None and not force:
         raise _diverges(report, " Pass --force to simulate anyway.")
 
@@ -245,7 +239,7 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
     resolved = replace(config, run=replace(config.run, output_dir=str(out)))
 
-    summary = analysis.build_summary(prediction, report, gamma=gamma)
+    summary = analysis.build_summary(prediction, report)
     empirics = _build_empirics(resolved, record, prediction, report.sigma_inf)
 
     paths = {
@@ -271,47 +265,22 @@ def sweep_centrality(config: SimulationConfig, mu_dagger: float) -> list[dict]:
 
     Returns rows sorted by descending score, unstable nodes last with NaN
     entries and stable=False; ties keep node order, so the rows are
-    deterministic for a given config. When ||A||_inf < 1 certifies every
-    reduced block, one inverse of I - A scores all nodes; otherwise each
-    node gets its own :func:`analysis.stubborn_equilibrium` solve.
+    deterministic for a given config. The scores come from
+    :func:`analysis.sweep`.
     """
     g = build_graph(config.network)
     sigma_inf = analysis.sigma_fixed_point(config.policy.nu, config.model.sigma_y)
-    swept = analysis._sweep_from_inverse(
+    swept = analysis.sweep(
         g, config.policy.delta_mu, sigma_inf, config.model.sigma_y, mu_dagger,
         config.model.theta,
     )
-
-    def one(node: int) -> dict:
-        try:
-            gamma = analysis.stubborn_equilibrium(
-                g,
-                config.policy.delta_mu,
-                sigma_inf,
-                config.model.sigma_y,
-                node,
-                mu_dagger,
-                config.model.theta,
-            )
-        except (InstabilityError, NumericalError):
-            return {
-                "node": node, "score": math.nan, "gamma_min": math.nan,
-                "gamma_max": math.nan, "stable": False,
-            }
-        score = float(np.mean(np.abs(gamma - config.model.theta)))
-        return {
-            "node": node, "score": score, "gamma_min": float(np.min(gamma)),
-            "gamma_max": float(np.max(gamma)), "stable": True,
-        }
-
-    if swept is None:
-        rows = [one(node) for node in range(1, g.n + 1)]
-    else:
-        rows = [
-            {"node": node, "score": float(score), "gamma_min": float(lo),
-             "gamma_max": float(hi), "stable": True}
-            for node, (score, lo, hi) in enumerate(zip(*swept), start=1)
-        ]
+    rows = [
+        {"node": node, "score": score, "gamma_min": lo, "gamma_max": hi,
+         "stable": stable}
+        for node, (score, lo, hi, stable) in enumerate(
+            zip(*(column.tolist() for column in swept)), start=1
+        )
+    ]
     rows.sort(
         key=lambda r: (not r["stable"], -r["score"] if r["stable"] else 0.0, r["node"])
     )
@@ -442,10 +411,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     g = build_graph(config.network)
-    report, prediction, gamma = _theory(config, g)
+    report, prediction = _theory(config, g)
     if prediction is None:
         raise _diverges(report)
-    summary = analysis.build_summary(prediction, report, gamma=gamma)
+    summary = analysis.build_summary(prediction, report)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -476,6 +445,7 @@ def _cmd_emit_plots(args: argparse.Namespace) -> int:
         if not path.exists():
             raise ConfigError(f"{run_dir} is not a run directory (missing {path.name})")
     config = load_config(config_path)
+    record = TrajectoryRecord.from_csv(trajectory_path)
     try:
         summary = json.loads(summary_path.read_text())
         sigma_inf = float(summary["sigma_inf"])
@@ -483,12 +453,19 @@ def _cmd_emit_plots(args: argparse.Namespace) -> int:
         raise ConfigError(f"{summary_path}: {exc}") from None
     except (KeyError, TypeError):
         raise ConfigError(f"{summary_path}: no numeric sigma_inf") from None
-    record = TrajectoryRecord.from_csv(trajectory_path)
+    references = summary.get("limit_mean")
+    if references is not None and not (
+        isinstance(references, list) and len(references) == record.n_agents
+        and all(type(x) in (int, float) for x in references)
+    ):
+        raise ConfigError(
+            f"{summary_path}: limit_mean is neither null nor a list of "
+            f"{record.n_agents} numbers"
+        )
     if args.nodes is None:
         selection = list(range(1, min(9, record.n_agents) + 1))
     else:
         selection = _parse_nodes(args.nodes)
-    references = summary.get("limit_mean")
     paths = emit_plot_data(
         record,
         selection,

@@ -377,6 +377,7 @@ def test_predict_without_stubborn():
     assert pred.sigma_inf == pytest.approx(0.1618033988749895, rel=1e-14)
     assert pred.limit_cov_scalar > 0.0
     assert pred.conditions["spectral_ok"]
+    assert pred.gamma is None and pred.centrality is None
 
 
 def test_predict_with_stubborn_places_mu_dagger():
@@ -392,6 +393,8 @@ def test_predict_with_stubborn_places_mu_dagger():
         g, 0.6, pred.sigma_inf, 0.1, stubborn_id=3, mu_dagger=-1.0, theta=1.0
     )
     np.testing.assert_array_equal(others, gamma)
+    np.testing.assert_array_equal(pred.gamma, gamma)
+    assert pred.centrality == float(np.mean(np.abs(gamma - 1.0)))
 
 
 def test_predict_requires_mu_dagger_with_stubborn():
@@ -411,6 +414,7 @@ def test_predict_one_node_graph_with_its_node_pinned():
     g = SocialGraph(n=1, weights=np.zeros((1, 1)))
     pred = predict(g, 0.6, 0.1, 0.1, 1.0, stubborn_id=1, mu_dagger=-1.0)
     assert pred.limit_mean.tolist() == [-1.0]
+    assert pred.gamma.shape == (0,) and pred.centrality is None  # no malleable agent
     si = sigma_fixed_point(0.1, 0.1)
     report = stability_report(g, 0.6, si, 0.1, stubborn=(1,))
     assert report.stubborn_spectral_radius == 0.0

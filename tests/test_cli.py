@@ -19,6 +19,7 @@ import pytest
 from gmop import (
     ConfigError,
     InstabilityError,
+    NumericalError,
     ObservationModel,
     SocialGraph,
     build_graph,
@@ -134,6 +135,22 @@ def test_run_experiment_stubborn_summary_has_gamma(tmp_path):
     assert len(summary["gamma"]) == 49
     assert summary["limit_mean"][0] == -1.0
     assert summary["stubborn_spectral_radius"] < 1.0
+
+
+@pytest.mark.parametrize("preset", ["S1", "S3", "S4"])
+def test_summary_centrality_is_the_pinned_agents_score(tmp_path, preset):
+    cfg = small_config(preset, horizon=4, window=2)
+    summary = run_experiment(cfg, out_dir=tmp_path).summary
+    if not cfg.stubborn.enabled:
+        assert summary["centrality"] is None
+        return
+    policy, model = cfg.policy, cfg.model
+    score = centrality_score(
+        build_graph(cfg.network), policy.delta_mu,
+        sigma_fixed_point(policy.nu, model.sigma_y), model.sigma_y,
+        cfg.stubborn.node, cfg.stubborn.mu_dagger, model.theta,
+    )
+    assert summary["centrality"] == score
 
 
 def test_run_experiment_byte_determinism(tmp_path):
@@ -369,21 +386,40 @@ def counted(monkeypatch, name: str) -> list:
     return calls
 
 
-def per_node_sweep(monkeypatch, cfg, mu_dagger: float) -> list[dict]:
-    """The sweep with one stubborn_equilibrium solve per node (the oracle)."""
-    with monkeypatch.context() as m:
-        m.setattr(analysis, "_sweep_from_inverse", lambda *args: None)
-        return sweep_centrality(cfg, mu_dagger)
+def per_node_sweep(g: SocialGraph, cfg, mu_dagger: float) -> list[np.ndarray]:
+    """Score, gamma_min, gamma_max and stable in node order from one public
+    stubborn_equilibrium solve per node (the oracle)."""
+    policy, model = cfg.policy, cfg.model
+    sigma_inf = sigma_fixed_point(policy.nu, model.sigma_y)
+    rows = []
+    for node in range(1, g.n + 1):
+        try:
+            gamma = stubborn_equilibrium(g, policy.delta_mu, sigma_inf, model.sigma_y,
+                                         node, mu_dagger, model.theta)
+        except (InstabilityError, NumericalError):
+            rows.append((math.nan, math.nan, math.nan, False))
+        else:
+            rows.append((float(np.mean(np.abs(gamma - model.theta))),
+                         float(np.min(gamma)), float(np.max(gamma)), True))
+    return [np.array(column) for column in zip(*rows)]
 
 
-def assert_same_rows(fast: list[dict], slow: list[dict]) -> None:
-    assert [(r["node"], r["stable"]) for r in fast] == [
-        (r["node"], r["stable"]) for r in slow
-    ]
-    for f, s in zip(fast, slow):
-        for key in ("score", "gamma_min", "gamma_max"):
-            assert f[key] == pytest.approx(s[key], rel=0, abs=1e-14, nan_ok=True), (
-                f["node"], key,
+def library_sweep(g: SocialGraph, cfg, mu_dagger: float) -> tuple:
+    """:func:`analysis.sweep` on g with cfg's parameters."""
+    policy, model = cfg.policy, cfg.model
+    sigma_inf = sigma_fixed_point(policy.nu, model.sigma_y)
+    return analysis.sweep(g, policy.delta_mu, sigma_inf, model.sigma_y, mu_dagger,
+                          model.theta)
+
+
+def assert_same_rows(fast: list[dict], slow: list[np.ndarray]) -> None:
+    fast = sorted(fast, key=lambda r: r["node"])
+    assert [r["stable"] for r in fast] == slow[3].tolist()
+    for r in fast:
+        for key, column in zip(("score", "gamma_min", "gamma_max"), slow):
+            want = column[r["node"] - 1]
+            assert r[key] == pytest.approx(want, rel=0, abs=1e-14, nan_ok=True), (
+                r["node"], key,
             )
 
 
@@ -401,63 +437,71 @@ def signed_graph(scale: float) -> SocialGraph:
     [(1, 0.05, 0.01, -1.0), (2, 0.3, 0.1, 2.5), (3, 0.6, 0.5, -1.0),
      (4, 0.9, 1.0, 0.0), (5, 1.0, 0.05, 3.0)],
 )
-def test_sweep_from_inverse_matches_per_node_oracle(
+def test_certified_sweep_matches_per_node_oracle(
     monkeypatch, seed, delta_mu, nu, mu_dagger
 ):
     cfg = sweep_config(40, seed, delta_mu, nu)
-    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    pinned = counted(monkeypatch, "_pinned_solve")
     fast = sweep_centrality(cfg, mu_dagger)
     assert not pinned
-    assert_same_rows(fast, per_node_sweep(monkeypatch, cfg, mu_dagger))
+    assert_same_rows(fast, per_node_sweep(build_graph(cfg.network), cfg, mu_dagger))
     assert len(pinned) == 40
 
 
-def test_sweep_from_inverse_matches_oracle_on_signed_weights(monkeypatch):
+def test_certified_sweep_matches_oracle_on_signed_weights(monkeypatch):
     # Small signed weights still certify: the bound does not need A >= 0.
     monkeypatch.setattr(gmop.cli, "build_graph", lambda net: signed_graph(1.0))
     cfg = small_config()
-    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    pinned = counted(monkeypatch, "_pinned_solve")
     fast = sweep_centrality(cfg, -1.0)
     assert not pinned
-    assert_same_rows(fast, per_node_sweep(monkeypatch, cfg, -1.0))
+    assert_same_rows(fast, per_node_sweep(signed_graph(1.0), cfg, -1.0))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_sweep_n200_matches_oracle(monkeypatch, seed):
+def test_sweep_n200_matches_oracle(seed):
     cfg = sweep_config(200, seed)
     fast = sweep_centrality(cfg, -1.0)
-    slow = per_node_sweep(monkeypatch, cfg, -1.0)
+    slow = per_node_sweep(build_graph(cfg.network), cfg, -1.0)
     assert_same_rows(fast, slow)
     # The benchmark's re-derivation: relative 1e-12 on five fixed nodes.
-    by_node = {r["node"]: r for r in slow}
     for r in fast:
         if r["node"] in (1, 50, 100, 150, 200):
-            for key in ("score", "gamma_min", "gamma_max"):
-                assert math.isclose(r[key], by_node[r["node"]][key], rel_tol=1e-12)
+            for key, column in zip(("score", "gamma_min", "gamma_max"), slow):
+                assert math.isclose(r[key], column[r["node"] - 1], rel_tol=1e-12)
 
 
 def test_certified_sweep_runs_no_eigensolve_and_no_pinned_solve(monkeypatch):
     cfg = sweep_config(200, 1)
     radii = counted(monkeypatch, "spectral_radius")
-    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    pinned = counted(monkeypatch, "_pinned_solve")
     rows = sweep_centrality(cfg, -1.0)
     assert len(rows) == 200 and all(r["stable"] for r in rows)
     assert (len(radii), len(pinned)) == (0, 0)
     # The per-node oracle passes the same certificate before its eigensolve.
-    per_node_sweep(monkeypatch, cfg, -1.0)
+    per_node_sweep(build_graph(cfg.network), cfg, -1.0)
     assert (len(radii), len(pinned)) == (0, 200)
+
+
+def test_certified_library_sweep_is_all_stable():
+    cfg = sweep_config(40, 2)
+    *_, stable = library_sweep(build_graph(cfg.network), cfg, -1.0)
+    assert stable.dtype == bool and stable.shape == (40,) and stable.all()
 
 
 @pytest.mark.parametrize("kind", ["raw", "signed", "nu0"])
 def test_uncertified_sweep_solves_per_node(monkeypatch, kind):
     cfg = raw_weight_config() if kind == "raw" else small_config()
-    if kind == "signed":
-        monkeypatch.setattr(gmop.cli, "build_graph", lambda net: signed_graph(5.0))
     if kind == "nu0":
         cfg = replace(cfg, policy=replace(cfg.policy, nu=0.0))
-    pinned = counted(monkeypatch, "stubborn_equilibrium")
-    rows = sweep_centrality(cfg, -1.0)
-    assert len(pinned) == len(rows)
+    g = signed_graph(5.0) if kind == "signed" else build_graph(cfg.network)
+    builds = counted(monkeypatch, "_mean_operator")
+    pinned = counted(monkeypatch, "_pinned_solve")
+    swept = library_sweep(g, cfg, -1.0)
+    assert (len(builds), len(pinned)) == (1, g.n)
+    # Both run the same reduced-block solve, so they agree exactly, NaNs included.
+    for got, want in zip(swept, per_node_sweep(g, cfg, -1.0)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_nu_zero_closed_class_stays_unstable(monkeypatch):
@@ -479,7 +523,7 @@ def test_nu_zero_closed_class_stays_unstable(monkeypatch):
     monkeypatch.setattr(gmop.cli, "build_graph", lambda net: g)
     cfg = small_config()
     cfg = replace(cfg, policy=replace(cfg.policy, delta_mu=0.3, nu=0.0))
-    pinned = counted(monkeypatch, "stubborn_equilibrium")
+    pinned = counted(monkeypatch, "_pinned_solve")
     rows = sweep_centrality(cfg, -1.0)
     assert len(pinned) == 4
     assert [r["stable"] for r in rows] == [True, True, True, False]
@@ -649,9 +693,19 @@ def test_main_emit_plots_reports_malformed_trajectory(tmp_path, capsys, row):
     assert capsys.readouterr().err.startswith(f"error: {trajectory}: ")
 
 
+def summary_with_limit_mean(limit_mean) -> str:
+    return json.dumps({"sigma_inf": 0.16, "limit_mean": limit_mean})
+
+
 @pytest.mark.parametrize(
-    "content", ["not json", '{"limit_mean": null}', '{"sigma_inf": "x"}', "[]"],
-    ids=["not-json", "no-sigma-inf", "text-sigma-inf", "list"],
+    "content",
+    ["not json", '{"limit_mean": null}', '{"sigma_inf": "x"}', "[]",
+     summary_with_limit_mean([1.0]), summary_with_limit_mean("x"),
+     summary_with_limit_mean([1.0] * 49 + ["a"]), summary_with_limit_mean({"a": 1}),
+     summary_with_limit_mean([1.0] * 51)],
+    ids=["not-json", "no-sigma-inf", "text-sigma-inf", "list", "limit-mean-of-one",
+         "text-limit-mean", "text-in-limit-mean", "object-limit-mean",
+         "limit-mean-of-51"],
 )
 def test_main_emit_plots_reports_bad_summary(tmp_path, capsys, content):
     out = tmp_path / "run"
