@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .belief import (
     GaussianMixtureBelief,
-    Mode,
     ObservationModel,
     PosteriorGrid,
     bayes_update,

@@ -184,8 +184,11 @@ def centrality_score(
 
     score(s) = (1/(N-1)) * sum over j != s of |gamma_j(s) - theta| when node
     s is made stubborn with opinion mu_dagger. Larger scores mean the node
-    can drag the network further from the truth.
+    can drag the network further from the truth. The crowd j != s is empty on
+    a one-node graph, so the score needs at least two nodes.
     """
+    if g.n < 2:
+        raise InvalidParameterError(f"centrality needs at least two nodes, got {g.n}")
     gamma = stubborn_equilibrium(
         g, delta_mu, sigma_inf, sigma_y, node, mu_dagger, theta
     )
@@ -212,8 +215,11 @@ def sweep(
     score(s) = |mu_dagger - theta| * mean_j |h_j(s)|. Otherwise each node
     gets its own reduced-block solve on that A, as in
     :func:`stubborn_equilibrium`; a node whose block is unstable or singular
-    reads NaN with stable False.
+    reads NaN with stable False. Like :func:`centrality_score`, it needs at
+    least two nodes.
     """
+    if g.n < 2:
+        raise InvalidParameterError(f"centrality needs at least two nodes, got {g.n}")
     a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
     n = g.n
     if _inf_norm_bound(a) < 1.0:

@@ -9,6 +9,10 @@ prior mode density at y and renormalized. A trapezoidal quadrature oracle over
 the pointwise product prior(x) * N(y | x, sigma_y) provides an independent
 numerical check of the closed-form update.
 
+A belief is stored as its three per-mode sequences: ``means``,
+``variances`` and ``weights``, float tuples of one common length. The engine
+runs on the same data stacked into (agents, modes) arrays.
+
 All variances in this package are variances, not standard deviations.
 """
 
@@ -16,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import GridError, InvalidParameterError
 
 __all__ = [
-    "Mode",
     "GaussianMixtureBelief",
     "ObservationModel",
     "bayes_update",
@@ -42,47 +45,53 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-class Mode(NamedTuple):
-    """One mixture component: (mean, variance, weight)."""
-
-    mean: float
-    variance: float
-    weight: float
-
-
 @dataclass(frozen=True)
 class GaussianMixtureBelief:
     """Ordered finite mixture of scalar Gaussians with simplex weights.
 
+    Mode j has mean ``means[j]``, variance ``variances[j]`` and weight
+    ``weights[j]``. The constructor takes any three sequences of numbers and
+    stores them as float tuples of one common length, at least one.
     Instances are immutable; the observation update returns a new belief.
     Weights must be non-negative and sum to 1 within ``WEIGHT_SUM_TOL``.
     Individual weights may be exactly 0 (a mode can die by underflow without
     being dropped).
     """
 
-    modes: tuple[Mode, ...]
+    means: tuple[float, ...]
+    variances: tuple[float, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.modes) < 1:
-            raise InvalidParameterError("a belief needs at least one mode")
-        object.__setattr__(
-            self, "modes", tuple(Mode(*map(float, m)) for m in self.modes)
+        means, variances, weights = (
+            tuple(map(float, values))
+            for values in (self.means, self.variances, self.weights)
         )
+        if not len(means) == len(variances) == len(weights):
+            raise InvalidParameterError(
+                "means, variances and weights must have one length, got "
+                f"{len(means)}, {len(variances)} and {len(weights)}"
+            )
+        if not means:
+            raise InvalidParameterError("a belief needs at least one mode")
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "weights", weights)
         total = 0.0
-        for idx, m in enumerate(self.modes):
-            _require_finite(f"modes[{idx}].mean", m.mean)
-            if not math.isfinite(m.variance) or m.variance <= 0.0:
+        for idx, (mean, variance, weight) in enumerate(zip(means, variances, weights)):
+            _require_finite(f"means[{idx}]", mean)
+            if not math.isfinite(variance) or variance <= 0.0:
                 raise InvalidParameterError(
-                    f"modes[{idx}].variance must be positive, got {m.variance}"
+                    f"variances[{idx}] must be positive, got {variance}"
                 )
-            if not math.isfinite(m.weight) or m.weight < 0.0 or m.weight > 1.0:
+            if not math.isfinite(weight) or weight < 0.0 or weight > 1.0:
                 raise InvalidParameterError(
-                    f"modes[{idx}].weight must lie in [0, 1], got {m.weight}"
+                    f"weights[{idx}] must lie in [0, 1], got {weight}"
                 )
-            total += m.weight
+            total += weight
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidParameterError(
-                f"mode weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
+                f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
             )
 
     @classmethod
@@ -92,32 +101,12 @@ class GaussianMixtureBelief:
         variances: Iterable[float],
         weights: Iterable[float],
     ) -> "GaussianMixtureBelief":
-        triples = list(zip(list(means), list(variances), list(weights)))
-        return cls(tuple(Mode(*t) for t in triples))
+        """The constructor under its older name."""
+        return cls(means, variances, weights)
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
-
-    @property
-    def means(self) -> tuple[float, ...]:
-        return tuple(m.mean for m in self.modes)
-
-    @property
-    def variances(self) -> tuple[float, ...]:
-        return tuple(m.variance for m in self.modes)
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(m.weight for m in self.modes)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (means, variances, weights) as float arrays of shape (M,)."""
-        return (
-            np.array(self.means, dtype=float),
-            np.array(self.variances, dtype=float),
-            np.array(self.weights, dtype=float),
-        )
+        return len(self.means)
 
 
 @dataclass(frozen=True)
@@ -296,11 +285,10 @@ def bayes_update(
     _require_finite("sigma_y", sigma_y)
     if sigma_y <= 0.0:
         raise InvalidParameterError(f"sigma_y must be positive, got {sigma_y}")
-    means, variances, weights = belief.as_arrays()
     post_means, post_vars, post_weights, degenerate = _bayes_arrays_exact(
-        means, variances, weights, y, sigma_y
+        belief.means, belief.variances, belief.weights, y, sigma_y
     )
-    updated = GaussianMixtureBelief.from_arrays(post_means, post_vars, post_weights)
+    updated = GaussianMixtureBelief(post_means, post_vars, post_weights)
     return updated, bool(degenerate)
 
 
@@ -408,7 +396,9 @@ def posterior_oracle(
     if n < GRID_MIN_POINTS:
         raise GridError(f"need at least {GRID_MIN_POINTS} grid points, got {n}")
 
-    means, variances, weights = belief.as_arrays()
+    means, variances, weights = np.array(
+        (belief.means, belief.variances, belief.weights)
+    )
     stds = np.sqrt(variances)
     sy = math.sqrt(sigma_y)
     need_lo = min(float(np.min(means - GRID_SPAN_STD * stds)), y - GRID_SPAN_STD * sy)

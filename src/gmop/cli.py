@@ -112,27 +112,21 @@ def initial_states(
     the same seed.
     """
     n = config.network.n
-    model = config.model
+    model, stubborn = config.model, config.stubborn
     means = np.empty((n, model.modes))
     for i, (lo, hi) in enumerate(model.init_mean_ranges):
         means[:, i] = rng.uniform(lo, hi, size=n)
-    states = []
-    for j in range(n):
-        stubborn = config.stubborn.enabled and (j + 1 == config.stubborn.node)
-        row = means[j]
-        if stubborn:
-            row = np.full(model.modes, config.stubborn.mu_dagger)
-        belief = GaussianMixtureBelief.from_arrays(
-            row, model.init_variances, model.init_weights
+    pinned = stubborn.node - 1 if stubborn.enabled else -1
+    if stubborn.enabled:
+        means[pinned] = stubborn.mu_dagger
+    return [
+        AgentState(
+            belief=GaussianMixtureBelief(row, model.init_variances, model.init_weights),
+            stubborn=j == pinned,
+            stubborn_value=stubborn.mu_dagger if j == pinned else 0.0,
         )
-        states.append(
-            AgentState(
-                belief=belief,
-                stubborn=stubborn,
-                stubborn_value=config.stubborn.mu_dagger if stubborn else 0.0,
-            )
-        )
-    return states
+        for j, row in enumerate(means.tolist())
+    ]
 
 
 def _write_json(doc: dict, path: Path) -> None:

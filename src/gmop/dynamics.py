@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -274,12 +274,11 @@ def step(
         gain_mode=gain_mode, sigma_inf=sigma_inf, noise_free=noise_free,
     )
     new_states = [
-        AgentState(
-            belief=GaussianMixtureBelief.from_arrays(
+        replace(
+            s,
+            belief=GaussianMixtureBelief(
                 rec.means[0, j], rec.variances[0, j], rec.weights[0, j]
             ),
-            stubborn=s.stubborn,
-            stubborn_value=s.stubborn_value,
         )
         for j, s in enumerate(states)
     ]

@@ -27,6 +27,7 @@ from gmop import (
     theory,
     verify_covariance_fixed_point,
 )
+from gmop.analysis import sweep
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -408,6 +409,17 @@ def test_theory_reports_without_prediction_when_unstable():
     report, prediction = theory(g, 0.6, nu=0.1, sigma_y=0.1, theta=1.0)
     assert prediction is None
     assert report == stability_report(g, 0.6, sigma_fixed_point(0.1, 0.1), 0.1)
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.0])
+def test_centrality_needs_two_nodes(nu):
+    # The crowd j != s of a one-node graph is empty: no score exists.
+    g = SocialGraph(n=1, weights=np.zeros((1, 1)))
+    si = sigma_fixed_point(nu, 0.1)
+    with pytest.raises(InvalidParameterError, match="at least two nodes, got 1"):
+        sweep(g, 0.6, si, 0.1, -1.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="at least two nodes, got 1"):
+        centrality_score(g, 0.6, si, 0.1, 1, -1.0, 1.0)
 
 
 def test_predict_one_node_graph_with_its_node_pinned():

@@ -55,6 +55,43 @@ def test_mixture_construction_rejects_bad_variances():
         GaussianMixtureBelief.from_arrays([0.0, 1.0], [1.0, -2.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "means, variances, weights, lengths",
+    [
+        ([0.0], [1.0, 1.0], [0.5, 0.5], "1, 2 and 2"),
+        ([0.0, 1.0], [1.0], [1.0], "2, 1 and 1"),
+        ([0.0, 1.0], [1.0, 1.0], [1.0], "2, 2 and 1"),
+    ],
+)
+def test_mixture_construction_rejects_unequal_lengths(means, variances, weights, lengths):
+    with pytest.raises(InvalidParameterError, match=f"got {lengths}$"):
+        GaussianMixtureBelief.from_arrays(means, variances, weights)
+    with pytest.raises(InvalidParameterError, match=f"got {lengths}$"):
+        GaussianMixtureBelief(means, variances, weights)
+
+
+@pytest.mark.parametrize(
+    "means, variances, weights, message",
+    [
+        ([0.0, math.inf], [1.0, 1.0], [0.5, 0.5], "means[1] must be finite, got inf"),
+        ([0.0, 1.0], [1.0, 0.0], [0.5, 0.5], "variances[1] must be positive, got 0.0"),
+        ([0.0, 1.0], [1.0, 1.0], [-0.5, 1.5], "weights[0] must lie in [0, 1], got -0.5"),
+    ],
+)
+def test_mixture_construction_names_field_and_index(means, variances, weights, message):
+    with pytest.raises(InvalidParameterError) as err:
+        GaussianMixtureBelief(means, variances, weights)
+    assert str(err.value) == message
+
+
+def test_mixture_stores_three_float_tuples():
+    b = GaussianMixtureBelief(np.array([0.0, 1.0]), [1, 2], (0.25, 0.75))
+    assert (b.means, b.variances, b.weights) == ((0.0, 1.0), (1.0, 2.0), (0.25, 0.75))
+    assert all(type(x) is float for x in b.means + b.variances + b.weights)
+    assert b == GaussianMixtureBelief.from_arrays([0.0, 1.0], [1.0, 2.0], [0.25, 0.75])
+    assert b.n_modes == 2
+
+
 def test_observation_model_rejects_bad_noise():
     with pytest.raises(InvalidParameterError):
         ObservationModel(theta=1.0, sigma_y=0.0)

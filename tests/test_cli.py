@@ -41,6 +41,7 @@ from gmop import (
 import gmop
 from gmop import analysis
 from gmop.cli import _parse_nodes, main, write_centrality_csv
+from gmop.dynamics import _states_to_arrays
 
 ARTIFACTS = ("config.json", "graph.edges", "trajectory.csv", "summary.json",
              "empirics.json")
@@ -102,6 +103,31 @@ def test_initial_states_stubborn_pins_node_and_keeps_stream():
     # beliefs are identical between the two settings.
     for a, b in zip(plain[1:], pinned[1:]):
         assert a.belief == b.belief
+
+
+@pytest.mark.parametrize("preset", ["S1", "S3"])
+def test_initial_states_follow_documented_draw_order(preset):
+    cfg = load_preset(preset)
+    n, model, stubborn = cfg.network.n, cfg.model, cfg.stubborn
+    means, variances, weights, pinned, values = _states_to_arrays(
+        initial_states(cfg, child_rng(cfg.run.seed, "init"))
+    )
+    rng = child_rng(cfg.run.seed, "init")
+    expected = np.stack(
+        [rng.uniform(lo, hi, n) for lo, hi in model.init_mean_ranges], axis=1
+    )
+    expected_pinned = np.zeros(n, dtype=bool)
+    expected_values = np.zeros(n)
+    if stubborn.enabled:
+        expected[stubborn.node - 1] = stubborn.mu_dagger
+        expected_pinned[stubborn.node - 1] = True
+        expected_values[stubborn.node - 1] = stubborn.mu_dagger
+    assert stubborn.enabled == (preset == "S3")
+    assert means.tobytes() == expected.tobytes()
+    assert variances.tobytes() == np.tile(model.init_variances, (n, 1)).tobytes()
+    assert weights.tobytes() == np.tile(model.init_weights, (n, 1)).tobytes()
+    assert np.array_equal(pinned, expected_pinned)
+    assert values.tobytes() == expected_values.tobytes()
 
 
 # ---------------------------------------------------------------------------
