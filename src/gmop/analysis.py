@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -112,7 +111,12 @@ def stubborn_equilibrium(
     The radius is eigensolved only when ||A||_inf does not bound it below one.
     """
     a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
-    return _pinned_solve(a, sigma_scalar, stubborn_id, mu_dagger, theta)
+    a_sub, a_col = _reduced(a, stubborn_id)
+    # rho(A_sub) <= ||A_sub||_inf <= ||A||_inf, so a bound below one settles
+    # stability without the eigensolve.
+    bound = _inf_norm_bound(a)
+    rho = bound if bound < 1.0 else spectral_radius(a_sub)
+    return _pinned_solve(a_sub, a_col, rho, sigma_scalar, mu_dagger, theta)
 
 
 def _inf_norm_bound(a: sparse.csr_array) -> float:
@@ -128,14 +132,11 @@ def _inf_norm_bound(a: sparse.csr_array) -> float:
     return norm * (1.0 + 2.0 * (k + 1) * np.finfo(float).eps)
 
 
-def _pinned_solve(
-    a: sparse.csr_array, sigma_scalar: float, stubborn_id: int,
-    mu_dagger: float, theta: float, rho: float | None = None,
-) -> np.ndarray:
-    """Solve the reduced block system of the CSR A with stubborn_id pinned.
-
-    Gated on rho, the block's radius; without it, on ||A||_inf or an eigensolve.
-    """
+def _reduced(
+    a: sparse.csr_array, stubborn_id: int
+) -> tuple[sparse.csr_array, np.ndarray]:
+    """A_sub, A without stubborn_id's row and column (CSR), and a_col, the
+    column of A that carries the pinned opinion to the other agents."""
     n = a.shape[0]
     if not (1 <= stubborn_id <= n):
         raise InvalidParameterError(
@@ -143,18 +144,22 @@ def _pinned_solve(
         )
     keep = np.delete(np.arange(n), stubborn_id - 1)
     rows = a[keep]
-    a_sub = rows[:, keep].toarray()
-    a_col = rows[:, [stubborn_id - 1]].toarray()[:, 0]
-    if rho is None:
-        # rho(A_sub) <= ||A_sub||_inf <= ||A||_inf, so a bound below one
-        # settles stability without the eigensolve.
-        bound = _inf_norm_bound(a)
-        rho = bound if bound < 1.0 else spectral_radius(a_sub)
+    return rows[:, keep], rows[:, [stubborn_id - 1]].toarray()[:, 0]
+
+
+def _pinned_solve(
+    a_sub: sparse.csr_array, a_col: np.ndarray, rho: float, sigma_scalar: float,
+    mu_dagger: float, theta: float,
+) -> np.ndarray:
+    """Solve (I - A_sub) gamma = (1 - sigma_scalar) theta + a_col mu_dagger,
+    gated on rho, the radius of A_sub that the caller found."""
+    if not math.isfinite(mu_dagger):
+        raise InvalidParameterError(f"mu_dagger must be finite, got {mu_dagger}")
     if rho >= 1.0:
         raise InstabilityError(
             f"reduced system is unstable: spectral radius {rho:.6f} >= 1"
         )
-    system = np.eye(n - 1) - a_sub
+    system = np.eye(a_sub.shape[0]) - a_sub.toarray()
     rhs = (1.0 - sigma_scalar) * theta + a_col * mu_dagger
     try:
         gamma = np.linalg.solve(system, rhs)
@@ -212,14 +217,16 @@ def sweep(
     node s at mu_dagger gives the Friedkin-Johnsen equilibrium
     gamma(s) = theta + (mu_dagger - theta) h(s), where h(s) is G e_s / G_ss
     with entry s dropped and G = (I - A)^-1, and
-    score(s) = |mu_dagger - theta| * mean_j |h_j(s)|. Otherwise each node
-    gets its own reduced-block solve on that A, as in
+    score(s) = |mu_dagger - theta| * mean_j |h_j(s)|. Otherwise each node's
+    reduced block of that A is eigensolved and solved as in
     :func:`stubborn_equilibrium`; a node whose block is unstable or singular
     reads NaN with stable False. Like :func:`centrality_score`, it needs at
     least two nodes.
     """
     if g.n < 2:
         raise InvalidParameterError(f"centrality needs at least two nodes, got {g.n}")
+    if not math.isfinite(mu_dagger):
+        raise InvalidParameterError(f"mu_dagger must be finite, got {mu_dagger}")
     a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
     n = g.n
     if _inf_norm_bound(a) < 1.0:
@@ -233,8 +240,11 @@ def sweep(
     score, gamma_min, gamma_max = np.full((3, n), np.nan)
     stable = np.zeros(n, dtype=bool)
     for s in range(n):
+        a_sub, a_col = _reduced(a, s + 1)
         try:
-            gamma = _pinned_solve(a, sigma_scalar, s + 1, mu_dagger, theta)
+            gamma = _pinned_solve(
+                a_sub, a_col, spectral_radius(a_sub), sigma_scalar, mu_dagger, theta
+            )
         except (InstabilityError, NumericalError):
             continue
         score[s] = np.mean(np.abs(gamma - theta))
@@ -249,15 +259,18 @@ class TheoryPrediction:
     With a stubborn agent, gamma is the malleable agents' limit (node order,
     the stubborn node skipped) and centrality is mean |gamma - theta|; both
     are None without one, and centrality is None when no agent is malleable.
+    sigma_inf, the radii and the conditions are on the :class:`StabilityReport`
+    that :func:`theory` returns with it.
     """
 
-    sigma_inf: float
     limit_mean: np.ndarray
     limit_cov_scalar: float
-    spectral_radius: float
-    conditions: dict
     gamma: np.ndarray | None
     centrality: float | None
+
+
+#: Row-sum residuals above this fail the identity check.
+ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -268,7 +281,18 @@ class StabilityReport:
     stubborn_spectral_radius: float | None
     row_sum_residual: float
     sigma_inf: float
-    conditions: dict
+
+    @property
+    def conditions(self) -> dict:
+        """Pass/fail flags; stubborn_spectral_ok only with a stubborn agent."""
+        conditions = {
+            "row_sum_ok": self.row_sum_residual <= ROW_SUM_TOL,
+            "spectral_ok": self.spectral_radius < 1.0,
+            "degenerate_gain": self.sigma_inf == 0.0,
+        }
+        if self.stubborn_spectral_radius is not None:
+            conditions["stubborn_spectral_ok"] = self.stubborn_spectral_radius < 1.0
+        return conditions
 
     @property
     def gate(self) -> tuple[str, float]:
@@ -283,12 +307,8 @@ class StabilityReport:
             "spectral_radius": self.spectral_radius,
             "stubborn_spectral_radius": self.stubborn_spectral_radius,
             "row_sum_residual": self.row_sum_residual,
-            "conditions": dict(self.conditions),
+            "conditions": self.conditions,
         }
-
-
-#: Row-sum residuals above this fail the identity check.
-ROW_SUM_TOL = 1e-12
 
 
 def stability_report(
@@ -296,47 +316,31 @@ def stability_report(
     delta_mu: float,
     sigma_inf: float,
     sigma_y: float,
-    stubborn: Iterable[int] = (),
+    stubborn_id: int | None = None,
 ) -> StabilityReport:
     """Evaluate the spectral and row-sum hypotheses on a concrete graph.
 
-    Reports rho(A), rho of the reduced block with the stubborn nodes removed
-    (when any), the row-sum residual, and pass/fail booleans. sigma_inf = 0
+    Reports rho(A), rho of the reduced block without the stubborn node (when
+    one is given), the row-sum residual, and pass/fail booleans. sigma_inf = 0
     is flagged as the degenerate-gain regime: the constant-gain abstraction
     then collapses to pure averaging with no observation injection, so the
     linear predictions stop being meaningful even though rho may be < 1.
     """
     a, _ = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
-    return _stability_report(g, a, sigma_inf, stubborn)
+    a_sub = None if stubborn_id is None else _reduced(a, stubborn_id)[0]
+    return _stability_report(g, a, sigma_inf, a_sub)
 
 
 def _stability_report(
-    g: SocialGraph, a: sparse.csr_array, sigma_inf: float, stubborn: Iterable[int]
+    g: SocialGraph, a: sparse.csr_array, sigma_inf: float,
+    a_sub: sparse.csr_array | None,
 ) -> StabilityReport:
-    """Body of :func:`stability_report` on the already built CSR A."""
-    stubborn = sorted(set(int(s) for s in stubborn))
-    for s in stubborn:
-        if not (1 <= s <= g.n):
-            raise InvalidParameterError(f"stubborn node {s} outside [1, {g.n}]")
-    rho = spectral_radius(a)
-    residual = check_row_sum_condition(g)
-    stub_rho: float | None = None
-    if stubborn:
-        keep = np.delete(np.arange(g.n), np.array(stubborn) - 1)
-        stub_rho = spectral_radius(a[keep][:, keep]) if keep.size else 0.0
-    conditions = {
-        "row_sum_ok": residual <= ROW_SUM_TOL,
-        "spectral_ok": rho < 1.0,
-        "degenerate_gain": sigma_inf == 0.0,
-    }
-    if stub_rho is not None:
-        conditions["stubborn_spectral_ok"] = stub_rho < 1.0
+    """Body of :func:`stability_report` on the built A and reduced block."""
     return StabilityReport(
-        spectral_radius=rho,
-        stubborn_spectral_radius=stub_rho,
-        row_sum_residual=residual,
+        spectral_radius=spectral_radius(a),
+        stubborn_spectral_radius=None if a_sub is None else spectral_radius(a_sub),
+        row_sum_residual=check_row_sum_condition(g),
         sigma_inf=sigma_inf,
-        conditions=conditions,
     )
 
 
@@ -358,27 +362,20 @@ def theory(
         raise InvalidParameterError("mu_dagger required with a stubborn agent")
     sigma_inf = sigma_fixed_point(nu, sigma_y)
     a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
-    report = _stability_report(
-        g, a, sigma_inf, () if stubborn_id is None else (stubborn_id,)
-    )
+    a_sub, a_col = (None, None) if stubborn_id is None else _reduced(a, stubborn_id)
+    report = _stability_report(g, a, sigma_inf, a_sub)
     rho = report.gate[1]
     if rho >= 1.0:
         return report, None
     limit_mean, c = asymptotic_mean_cov(theta, sigma_y, sigma_inf, g.n)
     gamma = centrality = None
-    if stubborn_id is not None:
-        gamma = _pinned_solve(a, sigma_scalar, stubborn_id, mu_dagger, theta, rho)
+    if a_sub is not None:
+        gamma = _pinned_solve(a_sub, a_col, rho, sigma_scalar, mu_dagger, theta)
         limit_mean = np.insert(gamma, stubborn_id - 1, mu_dagger)
         if gamma.size:
             centrality = float(np.mean(np.abs(gamma - theta)))
     return report, TheoryPrediction(
-        sigma_inf=sigma_inf,
-        limit_mean=limit_mean,
-        limit_cov_scalar=c,
-        spectral_radius=report.spectral_radius,
-        conditions=dict(report.conditions),
-        gamma=gamma,
-        centrality=centrality,
+        limit_mean=limit_mean, limit_cov_scalar=c, gamma=gamma, centrality=centrality
     )
 
 

@@ -344,27 +344,21 @@ def emit_plot_data(
     return paths
 
 
-def _parse_nodes(spec: str) -> list[int]:
-    """Parse a node selection like '1-9' or '1,3,7' (ranges and ids mix)."""
+def _parse_nodes(spec: str, n: int) -> list[int]:
+    """Parse a selection of agents in [1, n] like '1-9' or '1,3,7' (ranges and
+    ids mix; an id is a range of one). Each part is bounded before it expands."""
     nodes: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo_s, _, hi_s = part.partition("-")
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise ConfigError(f"bad node range {part!r}") from None
-            if hi < lo:
-                raise ConfigError(f"bad node range {part!r}")
-            nodes.extend(range(lo, hi + 1))
-        else:
-            try:
-                nodes.append(int(part))
-            except ValueError:
-                raise ConfigError(f"bad node id {part!r}") from None
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        lo_s, dash, hi_s = part.partition("-")
+        try:
+            lo, hi = int(lo_s), int(hi_s if dash else lo_s)
+        except ValueError:
+            raise ConfigError(f"bad node selection {part!r}") from None
+        if hi < lo:
+            raise ConfigError(f"bad node range {part!r}")
+        if lo < 1 or hi > n:
+            raise ConfigError(f"node selection {part!r} outside [1, {n}]")
+        nodes.extend(range(lo, hi + 1))
     if not nodes:
         raise ConfigError(f"empty node selection {spec!r}")
     return nodes
@@ -459,7 +453,7 @@ def _cmd_emit_plots(args: argparse.Namespace) -> int:
     if args.nodes is None:
         selection = list(range(1, min(9, record.n_agents) + 1))
     else:
-        selection = _parse_nodes(args.nodes)
+        selection = _parse_nodes(args.nodes, record.n_agents)
     paths = emit_plot_data(
         record,
         selection,
@@ -555,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GmopError as exc:
+    except (GmopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

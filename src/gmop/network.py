@@ -406,7 +406,7 @@ def spectral_radius(m: np.ndarray | sparse.sparray) -> float:
         except sparse_linalg.ArpackError:  # pragma: no cover - rare
             log.warning("iterative eigensolve failed, falling back to dense")
     dense = m.toarray() if sparse.issparse(m) else m
-    return float(np.max(np.abs(np.linalg.eigvals(dense))))
+    return float(np.max(np.abs(np.linalg.eigvals(dense)), initial=0.0))
 
 
 def check_row_sum_condition(g: SocialGraph) -> float:

@@ -360,7 +360,7 @@ def test_stability_report_flags_degenerate_gain():
 def test_stability_report_stubborn_block():
     g = seeded_graph(n=10)
     si = sigma_fixed_point(0.1, 0.1)
-    report = stability_report(g, 0.6, si, 0.1, stubborn=(1,))
+    report = stability_report(g, 0.6, si, 0.1, stubborn_id=1)
     assert report.stubborn_spectral_radius is not None
     assert report.stubborn_spectral_radius < 1.0
     assert report.conditions["stubborn_spectral_ok"]
@@ -368,16 +368,17 @@ def test_stability_report_stubborn_block():
         "reduced-system spectral radius", report.stubborn_spectral_radius
     )
     with pytest.raises(InvalidParameterError):
-        stability_report(g, 0.6, si, 0.1, stubborn=(11,))
+        stability_report(g, 0.6, si, 0.1, stubborn_id=11)
 
 
 def test_predict_without_stubborn():
     g = seeded_graph(n=10)
     pred = predict(g, 0.6, nu=0.1, sigma_y=0.1, theta=1.0)
+    report, _ = theory(g, 0.6, nu=0.1, sigma_y=0.1, theta=1.0)
     np.testing.assert_array_equal(pred.limit_mean, np.ones(10))
-    assert pred.sigma_inf == pytest.approx(0.1618033988749895, rel=1e-14)
+    assert report.sigma_inf == pytest.approx(0.1618033988749895, rel=1e-14)
     assert pred.limit_cov_scalar > 0.0
-    assert pred.conditions["spectral_ok"]
+    assert report.conditions["spectral_ok"]
     assert pred.gamma is None and pred.centrality is None
 
 
@@ -391,7 +392,8 @@ def test_predict_with_stubborn_places_mu_dagger():
     assert np.all(others > -1.0)
     assert np.all(others < 1.0)  # dragged strictly below the truth
     gamma = stubborn_equilibrium(
-        g, 0.6, pred.sigma_inf, 0.1, stubborn_id=3, mu_dagger=-1.0, theta=1.0
+        g, 0.6, sigma_fixed_point(0.1, 0.1), 0.1, stubborn_id=3, mu_dagger=-1.0,
+        theta=1.0,
     )
     np.testing.assert_array_equal(others, gamma)
     np.testing.assert_array_equal(pred.gamma, gamma)
@@ -428,8 +430,28 @@ def test_predict_one_node_graph_with_its_node_pinned():
     assert pred.limit_mean.tolist() == [-1.0]
     assert pred.gamma.shape == (0,) and pred.centrality is None  # no malleable agent
     si = sigma_fixed_point(0.1, 0.1)
-    report = stability_report(g, 0.6, si, 0.1, stubborn=(1,))
+    report = stability_report(g, 0.6, si, 0.1, stubborn_id=1)
     assert report.stubborn_spectral_radius == 0.0
     assert report.conditions["stubborn_spectral_ok"]
+    assert theory(g, 0.6, 0.1, 0.1, 1.0, stubborn_id=1, mu_dagger=-1.0)[0] == report
     gamma = stubborn_equilibrium(g, 0.6, si, 0.1, stubborn_id=1, mu_dagger=-1.0, theta=1.0)
     assert gamma.shape == (0,)
+    # At sigma_inf = 0, ||A||_inf = 1 does not certify, so the empty block is
+    # eigensolved: its radius is 0 and gamma is empty.
+    gamma = stubborn_equilibrium(g, 0.6, 0.0, 0.1, stubborn_id=1, mu_dagger=-1.0, theta=1.0)
+    assert gamma.shape == (0,)
+
+
+@pytest.mark.parametrize("mu_dagger", [math.nan, math.inf, -math.inf])
+def test_non_finite_mu_dagger_is_rejected(mu_dagger):
+    g = seeded_graph(n=10)
+    si = sigma_fixed_point(0.1, 0.1)
+    raw = SocialGraph.from_edges(3, [(1, 2, 5.0), (2, 3, 5.0), (3, 1, 5.0)])
+    with pytest.raises(InvalidParameterError, match="mu_dagger must be finite"):
+        stubborn_equilibrium(g, 0.6, si, 0.1, stubborn_id=2, mu_dagger=mu_dagger,
+                             theta=1.0)
+    with pytest.raises(InvalidParameterError, match="mu_dagger must be finite"):
+        theory(g, 0.6, 0.1, 0.1, 1.0, stubborn_id=2, mu_dagger=mu_dagger)
+    for graph in (g, raw):  # certified and uncertified sweeps
+        with pytest.raises(InvalidParameterError, match="mu_dagger must be finite"):
+            sweep(graph, 0.6, si, 0.1, mu_dagger, 1.0)

@@ -332,6 +332,22 @@ def test_one_system_build_per_command(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_one_reduced_block_per_pinned_command(tmp_path, capsys, monkeypatch):
+    blocks = counted(monkeypatch, "_reduced")
+
+    def count(action) -> int:
+        blocks.clear()
+        action()
+        return len(blocks)
+
+    for preset, want in (("S1", 0), ("S3", 1)):
+        cfg_path = write_config(tmp_path, small_config(preset, 10, 5))
+        run = ["run", "--config", cfg_path, "--out", str(tmp_path / preset)]
+        assert count(lambda: main(run)) == want
+        assert count(lambda: main(["predict", "--preset", preset])) == want
+    capsys.readouterr()
+
+
 def test_library_path_at_n4000_stays_sparse():
     # One dense float n x n array at n = 4000 is 122 MiB.
     cfg = load_preset("S1")
@@ -523,8 +539,9 @@ def test_uncertified_sweep_solves_per_node(monkeypatch, kind):
     g = signed_graph(5.0) if kind == "signed" else build_graph(cfg.network)
     builds = counted(monkeypatch, "_mean_operator")
     pinned = counted(monkeypatch, "_pinned_solve")
+    bounds = counted(monkeypatch, "_inf_norm_bound")
     swept = library_sweep(g, cfg, -1.0)
-    assert (len(builds), len(pinned)) == (1, g.n)
+    assert (len(builds), len(pinned), len(bounds)) == (1, g.n, 1)
     # Both run the same reduced-block solve, so they agree exactly, NaNs included.
     for got, want in zip(swept, per_node_sweep(g, cfg, -1.0)):
         np.testing.assert_array_equal(got, want)
@@ -678,12 +695,23 @@ def test_emit_plot_data_rejects_bad_selection(tmp_path):
 
 
 def test_parse_nodes_forms():
-    assert _parse_nodes("1-9") == list(range(1, 10))
-    assert _parse_nodes("1,3,7") == [1, 3, 7]
-    assert _parse_nodes("2-4,9") == [2, 3, 4, 9]
-    for bad in ("x", "5-2", "", "1..3"):
+    assert _parse_nodes("1-9", 9) == list(range(1, 10))
+    assert _parse_nodes("1,3,7", 9) == [1, 3, 7]
+    assert _parse_nodes("2-4,9", 9) == [2, 3, 4, 9]
+    for bad in ("x", "5-2", "", "1..3", "0", "10", "8-10"):
         with pytest.raises(ConfigError):
-            _parse_nodes(bad)
+            _parse_nodes(bad, 9)
+
+
+def test_parse_nodes_bounds_a_range_before_expanding_it():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="outside"):
+            _parse_nodes("1-2000000", 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +791,43 @@ def test_main_predict_stubborn_summary_file(tmp_path, capsys):
     assert doc["gamma"] is not None
     assert doc["limit_mean"][0] == -1.0
     capsys.readouterr()
+
+
+def test_main_sweep_centrality_writes_the_library_rows(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep"
+    assert main(["sweep-centrality", "--preset", "S1", "--mu-dagger", "-1",
+                 "--out", str(out)]) == 0
+    path = out / "centrality.csv"
+    assert capsys.readouterr().out == f"centrality: {path}\n"
+    want = tmp_path / "want.csv"
+    write_centrality_csv(sweep_centrality(load_preset("S1"), -1.0), want)
+    assert path.read_bytes() == want.read_bytes()
+    # Without --out the file lands in the config's run.output_dir.
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep-centrality", "--preset", "S1", "--mu-dagger", "-1"]) == 0
+    default = Path(load_preset("S1").run.output_dir) / "centrality.csv"
+    assert capsys.readouterr().out == f"centrality: {default}\n"
+    assert (tmp_path / default).read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_main_sweep_centrality_rejects_non_finite_mu_dagger(tmp_path, capsys, value):
+    out = tmp_path / "sweep"
+    assert main(["sweep-centrality", "--preset", "S1", f"--mu-dagger={value}",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: mu_dagger must be finite")
+    assert not out.exists()
+
+
+def test_main_reports_file_system_errors(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["predict", "--preset", "S1", "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_main_requires_exactly_one_config_source(tmp_path, capsys):

@@ -419,6 +419,12 @@ def test_spectral_radius_scaled_matrix():
     assert spectral_radius(m) < 1.0
 
 
+def test_spectral_radius_of_empty_matrix_is_zero():
+    # The reduced block of a one-node graph with its node pinned is 0x0.
+    assert spectral_radius(np.zeros((0, 0))) == 0.0
+    assert spectral_radius(sparse.csr_array((0, 0))) == 0.0
+
+
 def test_spectral_radius_rejects_non_square():
     with pytest.raises(InvalidParameterError):
         spectral_radius(np.ones((2, 3)))
