@@ -12,7 +12,6 @@ from .analysis import (
     StabilityReport,
     TheoryPrediction,
     asymptotic_mean_cov,
-    centrality_score,
     predict,
     sigma_fixed_point,
     stability_report,
@@ -59,7 +58,6 @@ from .network import (
     build_system_matrices,
     check_row_sum_condition,
     generate_watts_strogatz,
-    in_weight_diagonal,
     load_edge_list,
     normalize_in_weights,
     save_edge_list,

@@ -35,7 +35,6 @@ __all__ = [
     "asymptotic_mean_cov",
     "verify_covariance_fixed_point",
     "stubborn_equilibrium",
-    "centrality_score",
     "sweep",
     "stability_report",
     "theory",
@@ -176,30 +175,6 @@ def _pinned_solve(
     return gamma
 
 
-def centrality_score(
-    g: SocialGraph,
-    delta_mu: float,
-    sigma_inf: float,
-    sigma_y: float,
-    node: int,
-    mu_dagger: float,
-    theta: float,
-) -> float:
-    """Mean absolute displacement of the crowd's limit from theta.
-
-    score(s) = (1/(N-1)) * sum over j != s of |gamma_j(s) - theta| when node
-    s is made stubborn with opinion mu_dagger. Larger scores mean the node
-    can drag the network further from the truth. The crowd j != s is empty on
-    a one-node graph, so the score needs at least two nodes.
-    """
-    if g.n < 2:
-        raise InvalidParameterError(f"centrality needs at least two nodes, got {g.n}")
-    gamma = stubborn_equilibrium(
-        g, delta_mu, sigma_inf, sigma_y, node, mu_dagger, theta
-    )
-    return float(np.mean(np.abs(gamma - theta)))
-
-
 def sweep(
     g: SocialGraph,
     delta_mu: float,
@@ -220,8 +195,8 @@ def sweep(
     score(s) = |mu_dagger - theta| * mean_j |h_j(s)|. Otherwise each node's
     reduced block of that A is eigensolved and solved as in
     :func:`stubborn_equilibrium`; a node whose block is unstable or singular
-    reads NaN with stable False. Like :func:`centrality_score`, it needs at
-    least two nodes.
+    reads NaN with stable False. The crowd j != s of a one-node graph is
+    empty, so the sweep needs at least two nodes.
     """
     if g.n < 2:
         raise InvalidParameterError(f"centrality needs at least two nodes, got {g.n}")
@@ -324,7 +299,9 @@ def stability_report(
     one is given), the row-sum residual, and pass/fail booleans. sigma_inf = 0
     is flagged as the degenerate-gain regime: the constant-gain abstraction
     then collapses to pure averaging with no observation injection, so the
-    linear predictions stop being meaningful even though rho may be < 1.
+    linear predictions stop being meaningful. There the in-Laplacian's rows
+    sum to zero, so A 1 = 1 and rho(A) >= 1 in exact arithmetic; a computed
+    rho just below one is rounding.
     """
     a, _ = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
     a_sub = None if stubborn_id is None else _reduced(a, stubborn_id)[0]

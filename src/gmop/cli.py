@@ -491,8 +491,16 @@ def _log_level(level: str):
             logger.removeHandler(handler)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ConfigError, so they exit 1 like any
+    other input error; exit 2 is left to unstable dynamics."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmop",
         description=(
             "Simulate multi-modal opinion dynamics on social networks and "
@@ -536,16 +544,16 @@ def main(argv: list[str] | None = None) -> int:
         "--nodes", help="agent selection, e.g. '1-9' or '1,3,7' (default: first 9)"
     )
 
-    args = parser.parse_args(argv)
-    command = {
+    commands = {
         "run": _cmd_run,
         "predict": _cmd_predict,
         "sweep-centrality": _cmd_sweep,
         "emit-plots": _cmd_emit_plots,
-    }[args.command]
+    }
     try:
+        args = parser.parse_args(argv)
         with _log_level(args.log_level):
-            return command(args)
+            return commands[args.command](args)
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

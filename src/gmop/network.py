@@ -41,7 +41,6 @@ __all__ = [
     "add_influencer_hub",
     "assign_random_weights",
     "normalize_in_weights",
-    "in_weight_diagonal",
     "build_system_matrices",
     "spectral_radius",
     "check_row_sum_condition",
@@ -145,17 +144,10 @@ class SocialGraph:
     def n_edges(self) -> int:
         return int(self.csr.nnz)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.csr[i - 1, j - 1] != 0.0)
-
     def in_weight_sums(self) -> np.ndarray:
         """Vector of incoming-weight sums, one per node, added in row order."""
         sums = np.bincount(self.csr.indices, weights=self.csr.data, minlength=self.n)
         return sums.astype(float, copy=False)  # bincount of no edges gives ints
-
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean edge-presence matrix."""
-        return self.csr.toarray() != 0.0
 
     def is_connected(self) -> bool:
         """Weak connectivity of the underlying undirected adjacency."""
@@ -305,11 +297,6 @@ def normalize_in_weights(g: SocialGraph) -> SocialGraph:
     sums = g.in_weight_sums()
     scale = np.where(sums != 0.0, sums, 1.0)
     return _reweighted(g, g.csr.data / scale[g.csr.indices])
-
-
-def in_weight_diagonal(g: SocialGraph) -> np.ndarray:
-    """Diagonal matrix D of incoming-weight sums, D_jj = sum_l w_lj."""
-    return np.diag(g.in_weight_sums())
 
 
 def _in_laplacian(g: SocialGraph) -> sparse.csr_array:

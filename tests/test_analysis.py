@@ -1,6 +1,8 @@
 """Tests for the closed-form predictors and stability diagnostics."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from gmop import (
     ObservationModel,
     PolicyConfig,
     SocialGraph,
+    add_influencer_hub,
     asymptotic_mean_cov,
     assign_random_weights,
+    build_graph,
     build_system_matrices,
-    centrality_score,
     generate_watts_strogatz,
+    load_preset,
     normalize_in_weights,
     predict,
     sigma_fixed_point,
@@ -27,6 +31,7 @@ from gmop import (
     theory,
     verify_covariance_fixed_point,
 )
+from gmop import analysis
 from gmop.analysis import sweep
 
 
@@ -274,47 +279,67 @@ def test_stubborn_equilibrium_rejects_bad_node():
 # centrality
 
 
+#: (nu, certified): at nu = 0.1 the ||A||_inf certificate scores every node
+#: from one inverse; at nu = 0, sigma_scalar = 1 and no bound falls below one,
+#: so every node's block is eigensolved and solved on its own.
+ROUTES = ((0.1, True), (0.0, False))
+
+
+def swept_scores(g, nu, certified, mu_dagger=-1.0, delta_mu=0.6):
+    """:func:`sweep`'s scores at sigma_y = 0.1, theta = 1, after checking that
+    every node is stable and that the sweep took the expected route."""
+    with mock.patch.object(
+        analysis, "_pinned_solve", wraps=analysis._pinned_solve
+    ) as solve:
+        score, _, _, stable = sweep(
+            g, delta_mu, sigma_fixed_point(nu, 0.1), 0.1, mu_dagger, 1.0
+        )
+    assert stable.all()
+    assert solve.call_count == (0 if certified else g.n)
+    return score
+
+
 def test_centrality_zero_for_truthful_stubborn():
     g = seeded_graph(n=20)
-    si = sigma_fixed_point(0.1, 0.1)
-    for node in (1, 7, 20):
-        score = centrality_score(
-            g, 0.6, si, 0.1, node=node, mu_dagger=1.0, theta=1.0
-        )
-        assert score <= 1e-12
+    for nu, certified in ROUTES:
+        assert swept_scores(g, nu, certified, mu_dagger=1.0).max() <= 1e-12
 
 
 def test_centrality_zero_for_node_without_out_edges():
+    # Certified only: at nu = 0 nodes 1 and 2 form a closed class, which
+    # leaves node 3's block with an exact eigenvalue of one.
     g = SocialGraph.from_edges(3, [(1, 2, 0.5), (2, 1, 0.5), (1, 3, 0.5)])
-    si = sigma_fixed_point(0.1, 0.1)
-    score = centrality_score(g, 0.6, si, 0.1, node=3, mu_dagger=-1.0, theta=1.0)
-    assert score <= 1e-12
+    assert swept_scores(g, 0.1, certified=True)[2] <= 1e-12
 
 
 def test_centrality_permutation_equivariance():
-    si = sigma_fixed_point(0.1, 0.1)
     g = seeded_graph(n=8)
-    # Relabel the non-stubborn nodes with a fixed permutation keeping node 1.
+    # Relabel the nodes with a fixed permutation: new node i is old perm[i].
     perm = np.array([0, 3, 1, 2, 6, 7, 4, 5])
-    w = g.weights[np.ix_(perm, perm)]
-    relabeled = SocialGraph(n=8, weights=w)
-    direct = centrality_score(g, 0.6, si, 0.1, node=1, mu_dagger=-1.0, theta=1.0)
-    moved = centrality_score(
-        relabeled, 0.6, si, 0.1, node=1, mu_dagger=-1.0, theta=1.0
-    )
-    assert moved == pytest.approx(direct, abs=1e-12)
+    relabeled = SocialGraph(n=8, weights=g.weights[np.ix_(perm, perm)])
+    for nu, certified in ROUTES:
+        direct = swept_scores(g, nu, certified)
+        moved = swept_scores(relabeled, nu, certified)
+        np.testing.assert_allclose(moved, direct[perm], rtol=0, atol=1e-12)
 
 
 def test_centrality_hub_beats_lattice_node():
-    from gmop import add_influencer_hub
-
     g = generate_watts_strogatz(50, 3, 0.2, rng(7))
     g = add_influencer_hub(g, 1, 0.5, rng(8))
     g = normalize_in_weights(assign_random_weights(g, rng(9)))
-    si = sigma_fixed_point(0.1, 0.1)
-    hub = centrality_score(g, 0.6, si, 0.1, node=1, mu_dagger=-1.0, theta=1.0)
-    lattice = centrality_score(g, 0.6, si, 0.1, node=25, mu_dagger=-1.0, theta=1.0)
-    assert hub > lattice
+    score = swept_scores(g, 0.1, certified=True)
+    assert score[0] > score[24]
+    # The S1 graph (hub at node 1) with raw in-weights bounds ||A||_inf
+    # above one at delta_mu = 0.2, yet every pinned block is stable.
+    net = load_preset("S1").network
+    raw = build_graph(replace(net, normalize_in_weights=False))
+    score = swept_scores(raw, 0.1, certified=False, delta_mu=0.2)
+    assert score[0] > score[24]
+    # At nu = 0 nothing injects the truth, so on the connected S1 graph any
+    # pinned node drags the whole crowd to mu_dagger: every score is
+    # |mu_dagger - theta| = 2, and the hub cannot beat the lattice.
+    score = swept_scores(build_graph(net), 0.0, certified=False)
+    np.testing.assert_allclose(score, 2.0, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +445,6 @@ def test_centrality_needs_two_nodes(nu):
     si = sigma_fixed_point(nu, 0.1)
     with pytest.raises(InvalidParameterError, match="at least two nodes, got 1"):
         sweep(g, 0.6, si, 0.1, -1.0, 1.0)
-    with pytest.raises(InvalidParameterError, match="at least two nodes, got 1"):
-        centrality_score(g, 0.6, si, 0.1, 1, -1.0, 1.0)
 
 
 def test_predict_one_node_graph_with_its_node_pinned():

@@ -23,7 +23,6 @@ from gmop import (
     ObservationModel,
     SocialGraph,
     build_graph,
-    centrality_score,
     child_rng,
     emit_plot_data,
     initial_states,
@@ -68,7 +67,7 @@ def test_build_graph_is_seeded_pipeline():
     assert a.n == 50
     assert a.is_connected()
     # Hub wiring: node 1 ends up adjacent to at least half the network.
-    assert a.adjacency()[0].sum() >= 24
+    assert (a.weights[0] != 0.0).sum() >= 24
     # In-weight normalization leaves every in-sum at exactly one.
     np.testing.assert_allclose(a.in_weight_sums(), np.ones(50), atol=1e-12)
 
@@ -171,12 +170,12 @@ def test_summary_centrality_is_the_pinned_agents_score(tmp_path, preset):
         assert summary["centrality"] is None
         return
     policy, model = cfg.policy, cfg.model
-    score = centrality_score(
+    gamma = stubborn_equilibrium(
         build_graph(cfg.network), policy.delta_mu,
         sigma_fixed_point(policy.nu, model.sigma_y), model.sigma_y,
         cfg.stubborn.node, cfg.stubborn.mu_dagger, model.theta,
     )
-    assert summary["centrality"] == score
+    assert summary["centrality"] == float(np.mean(np.abs(gamma - model.theta)))
 
 
 def test_run_experiment_byte_determinism(tmp_path):
@@ -573,16 +572,20 @@ def test_nu_zero_closed_class_stays_unstable(monkeypatch):
     assert rows[-1]["node"] == 4 and math.isnan(rows[-1]["score"])
 
 
-def test_complete_graph_symmetry_gives_equal_scores():
+def test_complete_graph_symmetry_gives_equal_scores(monkeypatch):
     n = 5
     w = (1.0 - np.eye(n)) / (n - 1)
     g = SocialGraph(n=n, weights=w)
-    si = sigma_fixed_point(0.1, 0.1)
-    scores = [
-        centrality_score(g, 0.6, si, 0.1, node=s, mu_dagger=-1.0, theta=1.0)
-        for s in range(1, n + 1)
-    ]
-    assert max(scores) - min(scores) <= 1e-10
+    pinned = counted(monkeypatch, "_pinned_solve")
+    # nu = 0.1 scores every node from the certified inverse; nu = 0 solves
+    # each node's block on its own.
+    for nu, solves in ((0.1, 0), (0.0, n)):
+        scores, _, _, stable = analysis.sweep(
+            g, 0.6, sigma_fixed_point(nu, 0.1), 0.1, -1.0, 1.0
+        )
+        assert stable.all() and len(pinned) == solves
+        assert max(scores) - min(scores) <= 1e-10
+        pinned.clear()
 
 
 def test_write_centrality_csv_format(tmp_path):
@@ -734,6 +737,25 @@ def test_main_run_then_emit_plots(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_emit_plots_defaults_to_the_first_nine_agents(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_experiment(small_config(horizon=2, window=1), out_dir=out)
+    assert main(["emit-plots", "--run", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "plots" / "variance_trajectories.csv").read_text().splitlines()[1:]
+    assert sorted({int(row.split(",")[1]) for row in rows}) == list(range(1, 10))
+
+
+def test_main_emit_plots_needs_a_run_directory(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_experiment(small_config(horizon=2, window=1), out_dir=out)
+    (out / "trajectory.csv").unlink()
+    assert main(["emit-plots", "--run", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out} is not a run directory (missing trajectory.csv)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "row", ["1,1,1,0.5,x,0.5,1.0", "1,1,1,0.5,0.1,0.5"], ids=["non-numeric", "short-row"]
 )
@@ -817,6 +839,28 @@ def test_main_sweep_centrality_rejects_non_finite_mu_dagger(tmp_path, capsys, va
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: mu_dagger must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["predict", "--bogus"], [],
+     # argparse reads a value like -inf as an option, not as a number.
+     ["sweep-centrality", "--preset", "S1", "--mu-dagger", "-inf"]],
+    ids=["unknown-flag", "no-command", "option-like-value"],
+)
+def test_main_usage_errors_are_input_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # no centrality.csv, no run directory
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-centrality", "--help"])
+    assert exc.value.code == 0
+    assert "--mu-dagger" in capsys.readouterr().out
 
 
 def test_main_reports_file_system_errors(tmp_path, capsys):
@@ -943,6 +987,30 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["sigma_inf"] == pytest.approx(0.370156, abs=1e-6)
+
+
+@pytest.mark.parametrize("flags, stderr", [
+    ([], "WARNING gmop.cli: generated graph is disconnected (n=50, k_ws=3, "
+         "p_ws=1, hub=0)\n"),
+    (["-v", "ERROR"], ""),
+])
+def test_module_entry_point_logs_to_stderr(tmp_path, flags, stderr):
+    # A fresh interpreter has no handler on gmop's logger, so the command
+    # adds its own stderr handler for the chosen level.
+    cfg = load_preset("S1")
+    cfg = replace(cfg, network=replace(cfg.network, hub_fraction=0.0, p_ws=1.0, seed=3))
+    src = str(Path(gmop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmop", *flags, "predict", "--config",
+         write_config(tmp_path, cfg)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == stderr
 
 
 def test_readme_library_use_block_runs():

@@ -125,6 +125,13 @@ def test_load_config_rejects_invalid_json(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_non_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(ConfigError, match="top-level config must be an object"):
+        load_config(path)
+
+
 def write_doc(tmp_path, doc) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))

@@ -391,6 +391,40 @@ def test_simulate_rejects_bad_gain_settings():
             simulate(*args, horizon=1, rng=rng(1), **kwargs)
 
 
+def run_one_step(states, **kwargs):
+    return simulate(states, two_node_graph(), plain_policy(),
+                    ObservationModel(theta=1.0, sigma_y=0.1), 1, rng(1), **kwargs)
+
+
+def record_of_shapes(means, variances) -> TrajectoryRecord:
+    return TrajectoryRecord(means=np.zeros(means), variances=np.ones(variances),
+                            weights=np.full(means, 0.5), observations=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AgentState(GaussianMixtureBelief([0.0], [1.0], [1.0]), stubborn=True,
+                            stubborn_value=float("inf")),
+         "stubborn_value must be finite"),
+        (lambda: run_one_step([]), "need at least one agent"),
+        (lambda: run_one_step(uniform_states([[0.0], [0.0, 1.0]])),
+         "all agents must have the same mode count"),
+        (lambda: run_one_step(uniform_states([[0.0], [1.0]]), observation="bogus"),
+         "observation must be one of .*, got 'bogus'"),
+        (lambda: record_of_shapes((2, 2, 2), (2, 2, 2)).trailing_mixture_means(0),
+         r"window must lie in \[1, 2\], got 0"),
+        (lambda: record_of_shapes((2, 2, 2), (2, 2, 1)).validate(),
+         "trajectory arrays disagree on shape"),
+    ],
+    ids=["non-finite-stubborn-value", "no-agents", "mixed-mode-counts",
+         "unknown-observation", "zero-window", "shape-mismatch"],
+)
+def test_engine_rejects_invalid_input(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call()
+
+
 def test_simulate_identical_seeds_identical_records():
     g = two_node_graph(0.5)
 

@@ -18,7 +18,6 @@ from gmop import (
     build_system_matrices,
     check_row_sum_condition,
     generate_watts_strogatz,
-    in_weight_diagonal,
     load_edge_list,
     load_preset,
     normalize_in_weights,
@@ -37,7 +36,7 @@ def two_node_symmetric(w: float = 0.5) -> SocialGraph:
 
 
 def undirected_degrees(g: SocialGraph) -> np.ndarray:
-    return g.adjacency().sum(axis=1)
+    return (g.weights != 0.0).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +47,8 @@ def test_from_edges_round_trips_edges():
     g = SocialGraph.from_edges(3, [(1, 2, 0.5), (3, 1, 0.25)])
     assert g.n == 3
     assert g.n_edges == 2
-    assert g.has_edge(1, 2) and g.has_edge(3, 1)
-    assert not g.has_edge(2, 1)
+    assert g.weights[0, 1] != 0.0 and g.weights[2, 0] != 0.0
+    assert g.weights[1, 0] == 0.0
     assert sorted(g.edges()) == [(1, 2, 0.5), (3, 1, 0.25)]
 
 
@@ -153,7 +152,7 @@ def test_build_graph_edge_lists_match_golden_digests(tmp_path):
 
 def bfs_connected(g: SocialGraph) -> bool:
     """Weak connectivity by depth-first search over the dense adjacency."""
-    adj = g.adjacency() | g.adjacency().T
+    adj = (g.weights != 0.0) | (g.weights.T != 0.0)
     seen = np.zeros(g.n, dtype=bool)
     stack = [0]
     seen[0] = True
@@ -197,7 +196,7 @@ def test_ring_lattice_even_k():
 
 def test_full_rewiring_preserves_edge_count():
     g = generate_watts_strogatz(10, 4, 1.0, rng(3))
-    adj = g.adjacency()
+    adj = g.weights != 0.0
     np.testing.assert_array_equal(adj, adj.T)
     assert not np.any(np.diag(adj))
     # 10 * floor(4/2) = 20 undirected edges survive as 40 directed entries.
@@ -207,7 +206,7 @@ def test_full_rewiring_preserves_edge_count():
 
 def test_partial_rewiring_keeps_symmetric_adjacency():
     g = generate_watts_strogatz(50, 3, 0.2, rng(7))
-    adj = g.adjacency()
+    adj = g.weights != 0.0
     np.testing.assert_array_equal(adj, adj.T)
     assert g.n_edges == 2 * 50
     assert not np.any(np.diag(adj))
@@ -253,11 +252,11 @@ def test_build_graph_reports_disconnection_of_final_graph(caplog):
 def test_hub_links_half_the_network():
     g = generate_watts_strogatz(50, 3, 0.2, rng(7))
     hubbed = add_influencer_hub(g, 1, 0.5, rng(8))
-    adj = hubbed.adjacency()
+    adj = hubbed.weights != 0.0
     np.testing.assert_array_equal(adj, adj.T)
     assert adj[0].sum() >= 24  # floor(0.5 * 49) new peers, plus lattice ones
     # Non-hub rows gain at most the hub edge.
-    before = g.adjacency()
+    before = g.weights != 0.0
     changed = adj != before
     assert np.all(changed[1:, 1:] == False)  # noqa: E712 - array comparison
 
@@ -317,14 +316,14 @@ def test_random_weights_deterministic():
 def test_random_weights_preserve_adjacency():
     base = generate_watts_strogatz(50, 3, 0.2, rng(7))
     weighted = assign_random_weights(base, rng(9))
-    np.testing.assert_array_equal(weighted.adjacency(), base.adjacency())
+    np.testing.assert_array_equal(weighted.weights != 0.0, base.weights != 0.0)
 
 
 def test_normalize_in_weights_unit_column_sums():
     g = assign_random_weights(generate_watts_strogatz(50, 3, 0.2, rng(7)), rng(9))
     scaled = normalize_in_weights(g)
     np.testing.assert_allclose(scaled.in_weight_sums(), np.ones(50), atol=1e-14)
-    np.testing.assert_array_equal(scaled.adjacency(), g.adjacency())
+    np.testing.assert_array_equal(scaled.weights != 0.0, g.weights != 0.0)
 
 
 def test_normalize_in_weights_skips_isolated_in_nodes():
@@ -337,23 +336,22 @@ def test_normalize_in_weights_skips_isolated_in_nodes():
 # matrices
 
 
-def test_in_weight_diagonal_empty_graph():
+def test_in_weight_sums_empty_graph():
     g = SocialGraph(n=4, weights=np.zeros((4, 4)))
-    np.testing.assert_array_equal(in_weight_diagonal(g), np.zeros((4, 4)))
+    np.testing.assert_array_equal(g.in_weight_sums(), np.zeros(4))
 
 
-def test_in_weight_diagonal_two_node():
-    d = in_weight_diagonal(two_node_symmetric(0.5))
-    np.testing.assert_allclose(d, np.diag([0.5, 0.5]))
+def test_in_weight_sums_two_node():
+    np.testing.assert_allclose(two_node_symmetric(0.5).in_weight_sums(), [0.5, 0.5])
 
 
-def test_in_weight_diagonal_star():
+def test_in_weight_sums_star():
     m = 5
     edges = [(i, 1, 1.0) for i in range(2, m + 2)]
     g = SocialGraph.from_edges(m + 1, edges)
-    d = in_weight_diagonal(g)
-    assert d[0, 0] == m
-    np.testing.assert_allclose(np.diag(d)[1:], 0.0)
+    sums = g.in_weight_sums()
+    assert sums[0] == m
+    np.testing.assert_allclose(sums[1:], 0.0)
 
 
 def test_system_matrices_two_node_inner_matrix():
@@ -396,6 +394,30 @@ def test_system_matrices_reject_bad_noise():
         build_system_matrices(
             two_node_symmetric(), delta_mu=0.6, sigma_inf=-0.1, sigma_y=1.0
         )
+
+
+def edge_file(tmp_path, text: str):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: SocialGraph(n=0, weights=np.zeros((0, 0))),
+         "n must be positive, got 0"),
+        (lambda tmp: build_system_matrices(two_node_symmetric(), -0.1, 0.2, 1.0),
+         "delta_mu must be >= 0, got -0.1"),
+        (lambda tmp: load_edge_list(edge_file(tmp, "n=two\n")), "bad header 'n=two'"),
+        (lambda tmp: load_edge_list(edge_file(tmp, "n=2\n1 2 inf\n")),
+         ":2: non-finite weight"),
+    ],
+    ids=["no-nodes", "negative-delta-mu", "bad-header", "infinite-weight"],
+)
+def test_graph_layer_rejects_invalid_input(tmp_path, call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call(tmp_path)
 
 
 # ---------------------------------------------------------------------------
