@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .belief import _require_finite
 from .errors import InstabilityError, InvalidParameterError, NumericalError
 from .network import (
     SocialGraph,
@@ -66,9 +67,9 @@ def asymptotic_mean_cov(
     """
     if not math.isfinite(theta):
         raise InvalidParameterError(f"theta must be finite, got {theta}")
-    if sigma_y <= 0.0:
+    if not (math.isfinite(sigma_y) and sigma_y > 0.0):
         raise InvalidParameterError(f"sigma_y must be positive, got {sigma_y}")
-    if sigma_inf < 0.0:
+    if not (math.isfinite(sigma_inf) and sigma_inf >= 0.0):
         raise InvalidParameterError(f"sigma_inf must be >= 0, got {sigma_inf}")
     if n < 1:
         raise InvalidParameterError(f"n must be positive, got {n}")
@@ -152,8 +153,8 @@ def _pinned_solve(
 ) -> np.ndarray:
     """Solve (I - A_sub) gamma = (1 - sigma_scalar) theta + a_col mu_dagger,
     gated on rho, the radius of A_sub that the caller found."""
-    if not math.isfinite(mu_dagger):
-        raise InvalidParameterError(f"mu_dagger must be finite, got {mu_dagger}")
+    _require_finite("mu_dagger", mu_dagger)
+    _require_finite("theta", theta)
     if rho >= 1.0:
         raise InstabilityError(
             f"reduced system is unstable: spectral radius {rho:.6f} >= 1"
@@ -200,8 +201,8 @@ def sweep(
     """
     if g.n < 2:
         raise InvalidParameterError(f"centrality needs at least two nodes, got {g.n}")
-    if not math.isfinite(mu_dagger):
-        raise InvalidParameterError(f"mu_dagger must be finite, got {mu_dagger}")
+    _require_finite("mu_dagger", mu_dagger)
+    _require_finite("theta", theta)
     a, sigma_scalar = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
     n = g.n
     if _inf_norm_bound(a) < 1.0:
@@ -291,21 +292,19 @@ def stability_report(
     delta_mu: float,
     sigma_inf: float,
     sigma_y: float,
-    stubborn_id: int | None = None,
 ) -> StabilityReport:
     """Evaluate the spectral and row-sum hypotheses on a concrete graph.
 
-    Reports rho(A), rho of the reduced block without the stubborn node (when
-    one is given), the row-sum residual, and pass/fail booleans. sigma_inf = 0
-    is flagged as the degenerate-gain regime: the constant-gain abstraction
-    then collapses to pure averaging with no observation injection, so the
-    linear predictions stop being meaningful. There the in-Laplacian's rows
-    sum to zero, so A 1 = 1 and rho(A) >= 1 in exact arithmetic; a computed
-    rho just below one is rounding.
+    Reports rho(A), the row-sum residual, and pass/fail booleans (the radius
+    of the block without a stubborn node comes from :func:`theory`).
+    sigma_inf = 0 is flagged as the degenerate-gain regime: the constant-gain
+    abstraction then collapses to pure averaging with no observation
+    injection, so the linear predictions stop being meaningful. There the
+    in-Laplacian's rows sum to zero, so A 1 = 1 and rho(A) >= 1 in exact
+    arithmetic; a computed rho just below one is rounding.
     """
     a, _ = _mean_operator(g, delta_mu, sigma_inf, sigma_y)
-    a_sub = None if stubborn_id is None else _reduced(a, stubborn_id)[0]
-    return _stability_report(g, a, sigma_inf, a_sub)
+    return _stability_report(g, a, sigma_inf, None)
 
 
 def _stability_report(

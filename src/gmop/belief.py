@@ -340,32 +340,24 @@ class PosteriorGrid:
         return float(np.trapezoid((self.xs - m) ** 2 * u, self.xs) / z)
 
 
-#: Spread, in standard deviations around every mode and the observation,
-#: that a quadrature grid must cover.
-GRID_SPAN_STD = 8.0
-
-#: Minimum number of quadrature points accepted by the oracle.
-GRID_MIN_POINTS = 10_000
+#: Number of quadrature points on the oracle's grid.
+GRID_POINTS = 200_000
 
 #: Fraction of posterior mass tolerated within one cell of a grid boundary.
 GRID_BOUNDARY_MASS = 1e-6
 
 
 def posterior_oracle(
-    belief: GaussianMixtureBelief,
-    y: float,
-    sigma_y: float,
-    lo: float | None = None,
-    hi: float | None = None,
-    n: int = 200_000,
+    belief: GaussianMixtureBelief, y: float, sigma_y: float
 ) -> PosteriorGrid:
     """Numerically condition a mixture belief on one observation.
 
-    Evaluates prior(x) * N(y | x, sigma_y) pointwise on a uniform grid and
-    normalizes by trapezoidal integration. Serves as the independent check of
-    :func:`bayes_update`: mode means and variances come from quadrature
-    moments, and mode masses apply the same prior-density-at-y weighting via
-    interpolation on the grid.
+    Evaluates prior(x) * N(y | x, sigma_y) pointwise on a uniform grid of
+    ``GRID_POINTS`` points spanning 10 standard deviations around every mode
+    and the observation, and normalizes by trapezoidal integration. Serves as
+    the independent check of :func:`bayes_update`: mode means and variances
+    come from quadrature moments, and mode masses apply the same
+    prior-density-at-y weighting via interpolation on the grid.
 
     Parameters
     ----------
@@ -375,45 +367,28 @@ def posterior_oracle(
         Observed value.
     sigma_y : float
         Observation noise variance, positive.
-    lo, hi : float, optional
-        Grid endpoints. When omitted, the grid spans 10 standard deviations
-        around every mode and the observation. Explicit endpoints must cover
-        at least ``GRID_SPAN_STD`` standard deviations around each.
-    n : int
-        Number of grid points, at least ``GRID_MIN_POINTS``.
 
     Raises
     ------
     GridError
-        If the grid is too narrow, too coarse, or the resulting density
-        leaves more than ``GRID_BOUNDARY_MASS`` of its mass within one cell
-        of a boundary.
+        If the posterior mass or every mode density at y underflows on the
+        grid, or the density leaves more than ``GRID_BOUNDARY_MASS`` of its
+        mass within one cell of a boundary.
     """
     _require_finite("y", y)
     _require_finite("sigma_y", sigma_y)
     if sigma_y <= 0.0:
         raise InvalidParameterError(f"sigma_y must be positive, got {sigma_y}")
-    if n < GRID_MIN_POINTS:
-        raise GridError(f"need at least {GRID_MIN_POINTS} grid points, got {n}")
 
     means, variances, weights = np.array(
         (belief.means, belief.variances, belief.weights)
     )
     stds = np.sqrt(variances)
     sy = math.sqrt(sigma_y)
-    need_lo = min(float(np.min(means - GRID_SPAN_STD * stds)), y - GRID_SPAN_STD * sy)
-    need_hi = max(float(np.max(means + GRID_SPAN_STD * stds)), y + GRID_SPAN_STD * sy)
-    if lo is None:
-        lo = min(float(np.min(means - 10.0 * stds)), y - 10.0 * sy)
-    if hi is None:
-        hi = max(float(np.max(means + 10.0 * stds)), y + 10.0 * sy)
-    if lo > need_lo or hi < need_hi:
-        raise GridError(
-            f"grid [{lo}, {hi}] must cover [{need_lo}, {need_hi}] "
-            f"({GRID_SPAN_STD} standard deviations around every mode and y)"
-        )
+    lo = min(float(np.min(means - 10.0 * stds)), y - 10.0 * sy)
+    hi = max(float(np.max(means + 10.0 * stds)), y + 10.0 * sy)
 
-    xs = np.linspace(lo, hi, int(n))
+    xs = np.linspace(lo, hi, GRID_POINTS)
     prior_modes = _normal_pdf(xs[None, :], means[:, None], variances[:, None])
     likelihood = _normal_pdf(xs, y, sigma_y)
     mode_joint = weights[:, None] * prior_modes * likelihood[None, :]

@@ -10,12 +10,11 @@ Subcommands:
   how far they can drag the crowd's equilibrium from the truth.
 - ``emit-plots``: turn a finished run directory into long-format plot CSVs.
 
-A config is a strict JSON file or a preset name (S1..S4). The run seed can
-be overridden by ``--seed`` or, failing that, the ``GMOP_SEED`` environment
-variable; the network seed always comes from the config so replicates share
-one network instance. The global ``-v/--log-level`` flag (default WARNING)
-sets which of gmop's log records, such as the engine's one guard warning per
-run, reach stderr.
+A config is a strict JSON file or a preset name (S1..S4). ``--seed``
+overrides the config's run seed; the network seed always comes from the
+config so replicates share one network instance. The global
+``-v/--log-level`` flag (default WARNING) sets which of gmop's log records,
+such as the engine's one guard warning per run, reach stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import contextlib
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -116,8 +114,8 @@ def initial_states(
     means = np.empty((n, model.modes))
     for i, (lo, hi) in enumerate(model.init_mean_ranges):
         means[:, i] = rng.uniform(lo, hi, size=n)
-    pinned = stubborn.node - 1 if stubborn.enabled else -1
-    if stubborn.enabled:
+    pinned = -1 if stubborn is None else stubborn.node - 1
+    if stubborn is not None:
         means[pinned] = stubborn.mu_dagger
     return [
         AgentState(
@@ -135,11 +133,11 @@ def _write_json(doc: dict, path: Path) -> None:
 
 def _theory(config: SimulationConfig, g: SocialGraph):
     """:func:`analysis.theory` on a config: (report, prediction)."""
-    pinned = config.stubborn.enabled
+    stubborn = config.stubborn
+    pin = () if stubborn is None else (stubborn.node, stubborn.mu_dagger)
     return analysis.theory(
         g, config.policy.delta_mu, config.policy.nu, config.model.sigma_y,
-        config.model.theta, config.stubborn.node if pinned else None,
-        config.stubborn.mu_dagger if pinned else None,
+        config.model.theta, *pin,
     )
 
 
@@ -369,13 +367,6 @@ def _resolve_config(args: argparse.Namespace) -> SimulationConfig:
         raise ConfigError("pass exactly one of --config PATH or --preset NAME")
     config = load_config(args.config if args.config else args.preset)
     seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get("GMOP_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(f"GMOP_SEED must be an integer, got {env!r}") from None
     if seed is not None:  # RunConfig rejects a negative seed
         config = replace(config, run=replace(config.run, seed=seed))
     return config

@@ -103,32 +103,42 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Source and initial beliefs; init_weights=None means uniform weights."""
+    """Source and initial beliefs, one mode per init_mean_ranges pair;
+    init_weights=None means uniform weights."""
 
     theta: float
     sigma_y: float
-    modes: int
     init_mean_ranges: tuple[tuple[float, float], ...]
     init_variances: tuple[float, ...]
     init_weights: tuple[float, ...] | None = None
 
+    @property
+    def modes(self) -> int:
+        """Number of mixture modes, the length of init_mean_ranges."""
+        return len(self.init_mean_ranges)
+
     def __post_init__(self) -> None:
-        m = self.modes
+        for name in ("theta", "sigma_y"):
+            value = getattr(self, name)
+            _require(math.isfinite(value), "{} must be finite, got {}", name, value)
         _require(self.sigma_y > 0.0, "sigma_y must be positive, got {}", self.sigma_y)
-        _require(m >= 1, "modes must be at least 1, got {}", m)
+        ranges = self.init_mean_ranges
+        _require(
+            isinstance(ranges, tuple) and len(ranges) >= 1,
+            "init_mean_ranges must list at least one [lo, hi] pair",
+        )
+        m = len(ranges)
         if self.init_weights is None:
             object.__setattr__(self, "init_weights", (1.0 / m,) * m)
-        ranges, variances, weights = (
-            self.init_mean_ranges, self.init_variances, self.init_weights
-        )
-        _require(
-            _per_mode(ranges, m),
-            "init_mean_ranges must list one [lo, hi] pair per mode ({})", m,
-        )
+        variances, weights = self.init_variances, self.init_weights
         for i, pair in enumerate(ranges):
             _require(
                 isinstance(pair, tuple) and len(pair) == 2,
                 "init_mean_ranges[{}] must be a [lo, hi] pair", i,
+            )
+            _require(
+                all(map(math.isfinite, pair)),
+                "init_mean_ranges[{}] must be finite, got {}", i, list(pair),
             )
             _require(pair[0] <= pair[1], "init_mean_ranges[{}] has hi < lo", i)
         _require(
@@ -136,6 +146,7 @@ class ModelConfig:
             "init_variances must list one value per mode ({})", m,
         )
         for i, v in enumerate(variances):
+            _require(math.isfinite(v), "init_variances[{}] must be finite, got {}", i, v)
             _require(v > 0.0, "init_variances[{}] must be positive", i)
         _require(
             _per_mode(weights, m), "init_weights must list one value per mode ({})", m
@@ -150,13 +161,16 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class StubbornConfig:
-    enabled: bool
-    node: int = 1
-    mu_dagger: float = 0.0
+    """One agent, 1-based node, whose means stay pinned at mu_dagger."""
+
+    node: int
+    mu_dagger: float
 
     def __post_init__(self) -> None:
+        _require(self.node >= 1, "node must be >= 1, got {}", self.node)
         _require(
-            not self.enabled or self.node >= 1, "node must be >= 1, got {}", self.node
+            math.isfinite(self.mu_dagger),
+            "mu_dagger must be finite, got {}", self.mu_dagger,
         )
 
 
@@ -189,15 +203,13 @@ class SimulationConfig:
     network: NetworkConfig
     model: ModelConfig
     policy: PolicyConfig
-    stubborn: StubbornConfig = StubbornConfig(enabled=False)
+    stubborn: StubbornConfig | None = None
     run: RunConfig
 
     def __post_init__(self) -> None:
-        node, n = self.stubborn.node, self.network.n
-        _require(
-            not self.stubborn.enabled or node <= n,
-            "stubborn.node must lie in [1, {}], got {}", n, node,
-        )
+        if self.stubborn is not None:
+            node, n = self.stubborn.node, self.network.n
+            _require(node <= n, "stubborn.node must lie in [1, {}], got {}", n, node)
 
     def to_dict(self) -> dict:
         """The JSON document of this config, keys in field order."""
@@ -243,10 +255,14 @@ def _as_str(value: Any, path: str) -> str:
 _SCALAR_READERS = {int: _as_int, float: _as_number, bool: _as_bool, str: _as_str}
 
 
+def _unwrap(hint: Any) -> Any:
+    """T for a `T | None` hint, else the hint itself."""
+    return get_args(hint)[0] if isinstance(hint, UnionType) else hint
+
+
 def _reader(hint: Any) -> Callable[[Any, str], Any]:
     """The JSON type check for one field type; lists become tuples."""
-    if isinstance(hint, UnionType):  # `T | None`: null passes through below
-        hint = get_args(hint)[0]
+    hint = _unwrap(hint)  # `T | None`: null passes through below
     if get_origin(hint) is not tuple:
         return _SCALAR_READERS[hint]
     read_item = _reader(get_args(hint)[0])
@@ -308,8 +324,8 @@ def _parse_config(doc: Any) -> SimulationConfig:
     hints, required = _schema(SimulationConfig)
     # An optional section (stubborn) that is absent or null keeps its default.
     sections = {
-        name: _read_section(doc, name, cls)
-        for name, cls in hints.items()
+        name: _read_section(doc, name, _unwrap(hint))
+        for name, hint in hints.items()
         if name in required or doc.get(name) is not None
     }
     if doc["model"].get("init_weights") is not None:
@@ -338,13 +354,13 @@ def load_preset(name: str) -> SimulationConfig:
             n=50, k_ws=3, p_ws=0.2, hub_node=1, hub_fraction=0.5, seed=7
         ),
         model=ModelConfig(
-            theta=1.0, sigma_y=1.0 if name in ("S2", "S4") else 0.1, modes=2,
+            theta=1.0, sigma_y=1.0 if name in ("S2", "S4") else 0.1,
             init_mean_ranges=((0.0, 1.0), (-1.0, 0.0)),
             init_variances=(1.0, 1.0), init_weights=(0.5, 0.5),
         ),
         policy=PolicyConfig(delta_mu=0.6, delta_sigma=0.1, nu=0.1),
-        stubborn=StubbornConfig(
-            enabled=name in ("S3", "S4"), node=1, mu_dagger=-1.0
+        stubborn=(
+            StubbornConfig(node=1, mu_dagger=-1.0) if name in ("S3", "S4") else None
         ),
         run=RunConfig(
             horizon=2000, trailing_window=1000, seed=23, output_dir=f"runs/{name}"

@@ -349,11 +349,11 @@ def _mean_operator(
     g: SocialGraph, delta_mu: float, sigma_inf: float, sigma_y: float
 ) -> tuple[sparse.csr_array, float]:
     """A of :func:`build_system_matrices` as CSR, and its sigma_scalar."""
-    if sigma_y <= 0.0:
+    if not (math.isfinite(sigma_y) and sigma_y > 0.0):
         raise InvalidParameterError(f"sigma_y must be positive, got {sigma_y}")
-    if sigma_inf < 0.0:
+    if not (math.isfinite(sigma_inf) and sigma_inf >= 0.0):
         raise InvalidParameterError(f"sigma_inf must be >= 0, got {sigma_inf}")
-    if delta_mu < 0.0:
+    if not (math.isfinite(delta_mu) and delta_mu >= 0.0):
         raise InvalidParameterError(f"delta_mu must be >= 0, got {delta_mu}")
     scalar = sigma_y / (sigma_inf + sigma_y)
     return scalar * _mixing_matrix(g, delta_mu), scalar

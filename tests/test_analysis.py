@@ -148,6 +148,21 @@ def test_asymptotic_rejects_bad_inputs():
         asymptotic_mean_cov(1.0, 0.1, 0.1, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_operator_inputs_are_rejected(bad):
+    g = seeded_graph(n=10)
+    for args, name in [
+        ((bad, 0.1, 0.1), "delta_mu"), ((0.6, bad, 0.1), "sigma_inf"),
+        ((0.6, 0.1, bad), "sigma_y"),
+    ]:
+        with pytest.raises(InvalidParameterError, match=name):
+            build_system_matrices(g, *args)
+    with pytest.raises(InvalidParameterError, match="sigma_y"):
+        asymptotic_mean_cov(1.0, bad, 0.1, 2)
+    with pytest.raises(InvalidParameterError, match="sigma_inf"):
+        asymptotic_mean_cov(1.0, 0.1, bad, 2)
+
+
 def test_covariance_residual_zero_inflation_case():
     g = SocialGraph.from_edges(2, [(1, 2, 0.5), (2, 1, 0.5)])
     mats = build_system_matrices(g, delta_mu=0.6, sigma_inf=0.0, sigma_y=0.1)
@@ -385,15 +400,19 @@ def test_stability_report_flags_degenerate_gain():
 def test_stability_report_stubborn_block():
     g = seeded_graph(n=10)
     si = sigma_fixed_point(0.1, 0.1)
-    report = stability_report(g, 0.6, si, 0.1, stubborn_id=1)
+    report = theory(g, 0.6, 0.1, 0.1, 1.0, stubborn_id=1, mu_dagger=-1.0)[0]
     assert report.stubborn_spectral_radius is not None
     assert report.stubborn_spectral_radius < 1.0
     assert report.conditions["stubborn_spectral_ok"]
     assert report.gate == (
         "reduced-system spectral radius", report.stubborn_spectral_radius
     )
+    # The rest of the report is the plain stability report.
+    assert replace(report, stubborn_spectral_radius=None) == stability_report(
+        g, 0.6, si, 0.1
+    )
     with pytest.raises(InvalidParameterError):
-        stability_report(g, 0.6, si, 0.1, stubborn_id=11)
+        theory(g, 0.6, 0.1, 0.1, 1.0, stubborn_id=11, mu_dagger=-1.0)
 
 
 def test_predict_without_stubborn():
@@ -453,10 +472,12 @@ def test_predict_one_node_graph_with_its_node_pinned():
     assert pred.limit_mean.tolist() == [-1.0]
     assert pred.gamma.shape == (0,) and pred.centrality is None  # no malleable agent
     si = sigma_fixed_point(0.1, 0.1)
-    report = stability_report(g, 0.6, si, 0.1, stubborn_id=1)
+    report = theory(g, 0.6, 0.1, 0.1, 1.0, stubborn_id=1, mu_dagger=-1.0)[0]
     assert report.stubborn_spectral_radius == 0.0
     assert report.conditions["stubborn_spectral_ok"]
-    assert theory(g, 0.6, 0.1, 0.1, 1.0, stubborn_id=1, mu_dagger=-1.0)[0] == report
+    assert replace(report, stubborn_spectral_radius=None) == stability_report(
+        g, 0.6, si, 0.1
+    )
     gamma = stubborn_equilibrium(g, 0.6, si, 0.1, stubborn_id=1, mu_dagger=-1.0, theta=1.0)
     assert gamma.shape == (0,)
     # At sigma_inf = 0, ||A||_inf = 1 does not certify, so the empty block is
@@ -478,3 +499,18 @@ def test_non_finite_mu_dagger_is_rejected(mu_dagger):
     for graph in (g, raw):  # certified and uncertified sweeps
         with pytest.raises(InvalidParameterError, match="mu_dagger must be finite"):
             sweep(graph, 0.6, si, 0.1, mu_dagger, 1.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_is_rejected(theta):
+    g = seeded_graph(n=10)
+    si = sigma_fixed_point(0.1, 0.1)
+    raw = SocialGraph.from_edges(3, [(1, 2, 5.0), (2, 3, 5.0), (3, 1, 5.0)])
+    with pytest.raises(InvalidParameterError, match="theta must be finite"):
+        stubborn_equilibrium(g, 0.6, si, 0.1, stubborn_id=2, mu_dagger=-1.0,
+                             theta=theta)
+    with pytest.raises(InvalidParameterError, match="theta must be finite"):
+        theory(g, 0.6, 0.1, 0.1, theta, stubborn_id=2, mu_dagger=-1.0)
+    for graph in (g, raw):  # certified and uncertified sweeps
+        with pytest.raises(InvalidParameterError, match="theta must be finite"):
+            sweep(graph, 0.6, si, 0.1, -1.0, theta)

@@ -217,14 +217,22 @@ def test_oracle_zero_weight_mode_has_zero_mass():
     assert grid.mode_mass(0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_oracle_rejects_coarse_grid():
-    with pytest.raises(GridError):
-        posterior_oracle(two_mode_belief(), y=0.0, sigma_y=1.0, n=5000)
+def test_oracle_reports_underflowed_posterior_mass():
+    # y sits 100 prior standard deviations out with a sharp likelihood: the
+    # product underflows at every grid point.
+    prior = GaussianMixtureBelief([0.0], [1.0], [1.0])
+    with pytest.raises(GridError, match="posterior mass underflowed on the grid"):
+        posterior_oracle(prior, y=100.0, sigma_y=1e-4)
 
 
-def test_oracle_rejects_narrow_grid():
-    with pytest.raises(GridError):
-        posterior_oracle(two_mode_belief(), y=0.0, sigma_y=1.0, lo=-4.0, hi=4.0)
+def test_oracle_reports_underflowed_mode_density_at_y():
+    # A sharp prior and a broad likelihood: the posterior is fine, but the
+    # prior mode density at y, which sets the mode masses, underflows.
+    prior = GaussianMixtureBelief([0.0], [1e-4], [1.0])
+    with pytest.raises(
+        GridError, match="every mode density underflowed at the observation"
+    ):
+        posterior_oracle(prior, y=10.0, sigma_y=100.0)
 
 
 def test_oracle_rejects_bad_sigma_y():

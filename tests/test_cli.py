@@ -40,6 +40,7 @@ from gmop import (
 import gmop
 from gmop import analysis
 from gmop.cli import _parse_nodes, main, write_centrality_csv
+from gmop.config import StubbornConfig
 from gmop.dynamics import _states_to_arrays
 
 ARTIFACTS = ("config.json", "graph.edges", "trajectory.csv", "summary.json",
@@ -117,11 +118,11 @@ def test_initial_states_follow_documented_draw_order(preset):
     )
     expected_pinned = np.zeros(n, dtype=bool)
     expected_values = np.zeros(n)
-    if stubborn.enabled:
+    if stubborn is not None:
         expected[stubborn.node - 1] = stubborn.mu_dagger
         expected_pinned[stubborn.node - 1] = True
         expected_values[stubborn.node - 1] = stubborn.mu_dagger
-    assert stubborn.enabled == (preset == "S3")
+    assert (stubborn is not None) == (preset == "S3")
     assert means.tobytes() == expected.tobytes()
     assert variances.tobytes() == np.tile(model.init_variances, (n, 1)).tobytes()
     assert weights.tobytes() == np.tile(model.init_weights, (n, 1)).tobytes()
@@ -166,7 +167,7 @@ def test_run_experiment_stubborn_summary_has_gamma(tmp_path):
 def test_summary_centrality_is_the_pinned_agents_score(tmp_path, preset):
     cfg = small_config(preset, horizon=4, window=2)
     summary = run_experiment(cfg, out_dir=tmp_path).summary
-    if not cfg.stubborn.enabled:
+    if cfg.stubborn is None:
         assert summary["centrality"] is None
         return
     policy, model = cfg.policy, cfg.model
@@ -236,8 +237,7 @@ FORCED_UNSTABLE_DIGESTS = {
 def test_forced_unstable_artifacts_match_golden_digests(tmp_path, stubborn, message):
     cfg = raw_weight_config()
     if stubborn is not None:
-        pinned = replace(cfg.stubborn, enabled=True, node=stubborn, mu_dagger=-1.0)
-        cfg = replace(cfg, stubborn=pinned)
+        cfg = replace(cfg, stubborn=StubbornConfig(node=stubborn, mu_dagger=-1.0))
     with pytest.raises(InstabilityError, match=message):
         run_experiment(cfg, out_dir=tmp_path)
     run_experiment(cfg, out_dir=tmp_path, force=True)
@@ -275,13 +275,13 @@ def test_library_predict_raises_where_cli_predict_exits_2(tmp_path, capsys, pinn
                                                           message):
     cfg = raw_weight_config()
     if pinned is not None:
-        cfg = replace(cfg, stubborn=replace(cfg.stubborn, enabled=True, node=pinned))
+        cfg = replace(cfg, stubborn=StubbornConfig(node=pinned, mu_dagger=-1.0))
     assert main(["predict", "--config", write_config(tmp_path, cfg)]) == 2
     capsys.readouterr()
     policy, model = cfg.policy, cfg.model
     with pytest.raises(InstabilityError) as excinfo:
         predict(build_graph(cfg.network), policy.delta_mu, policy.nu, model.sigma_y,
-                model.theta, stubborn_id=pinned, mu_dagger=cfg.stubborn.mu_dagger)
+                model.theta, stubborn_id=pinned, mu_dagger=-1.0)
     assert str(excinfo.value) == message
 
 
@@ -913,7 +913,7 @@ def test_main_instability_message_names_the_gate(tmp_path, capsys, command, pinn
     # run, which has --force, offers it.
     cfg = raw_weight_config()
     if pinned is not None:
-        cfg = replace(cfg, stubborn=replace(cfg.stubborn, enabled=True, node=pinned))
+        cfg = replace(cfg, stubborn=StubbornConfig(node=pinned, mu_dagger=-1.0))
     args = [command, "--config", write_config(tmp_path, cfg)]
     if command == "run":
         args += ["--out", str(tmp_path / "run")]
@@ -957,20 +957,11 @@ def test_main_seed_precedence(tmp_path, capsys, monkeypatch):
         assert main(["run", "--config", cfg_path, "--out", str(out), *args]) == 0
         return load_config(out / "config.json").run.seed
 
+    # --seed is the one override; the environment is not read.
     monkeypatch.setenv("GMOP_SEED", "99")
-    assert run_and_read_seed([], "env") == 99
-    assert run_and_read_seed(["--seed", "7"], "flag") == 7  # flag beats env
-    monkeypatch.delenv("GMOP_SEED")
     assert run_and_read_seed([], "config") == 23
+    assert run_and_read_seed(["--seed", "7"], "flag") == 7
     capsys.readouterr()
-
-
-def test_main_rejects_malformed_seed_env(tmp_path, capsys, monkeypatch):
-    cfg_path = write_config(tmp_path, small_config())
-    monkeypatch.setenv("GMOP_SEED", "abc")
-    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert "GMOP_SEED" in err
 
 
 def test_module_entry_point_smoke():

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ def test_preset_s1_fields():
     assert cfg.policy.delta_sigma == 0.1
     assert cfg.policy.nu == 0.1
     assert cfg.policy.weight_policy == "identity"
-    assert cfg.stubborn.enabled is False
+    assert cfg.stubborn is None
     assert cfg.run.horizon == 2000
     assert cfg.run.trailing_window == 1000
     assert cfg.run.gain_mode == "exact"
@@ -55,7 +58,7 @@ def test_preset_s1_fields():
 def test_preset_s2_only_noise_differs():
     s1, s2 = load_preset("S1"), load_preset("S2")
     assert s2.model.sigma_y == 1.0
-    assert s2.stubborn.enabled is False
+    assert s2.stubborn is None
     assert s2.network == s1.network
     assert s2.policy == s1.policy
     assert (s2.run.horizon, s2.run.trailing_window) == (
@@ -66,7 +69,7 @@ def test_preset_s2_only_noise_differs():
 
 def test_preset_s3_adds_stubborn_agent():
     s1, s3 = load_preset("S1"), load_preset("S3")
-    assert s3.stubborn.enabled is True
+    assert s3.stubborn is not None
     assert s3.stubborn.node == 1
     assert s3.stubborn.mu_dagger == -1.0
     assert s3.model.sigma_y == s1.model.sigma_y
@@ -76,7 +79,7 @@ def test_preset_s3_adds_stubborn_agent():
 def test_preset_s4_combines_noise_and_stubborn():
     s4 = load_preset("S4")
     assert s4.model.sigma_y == 1.0
-    assert s4.stubborn.enabled is True
+    assert s4.stubborn is not None
     assert s4.stubborn.mu_dagger == -1.0
 
 
@@ -101,6 +104,15 @@ def test_load_config_accepts_preset_names():
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("no_such_file.json")
+
+
+def test_readme_config_example_is_preset_s1(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Custom configs", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "example.json"
+    path.write_text(example)
+    assert load_config(path) == load_preset("S1")
 
 
 def test_config_json_round_trip(tmp_path):
@@ -153,10 +165,10 @@ def test_missing_section_rejected(tmp_path):
 
 
 def test_stubborn_section_optional(tmp_path):
-    doc = preset_doc()
+    doc = preset_doc("S3")
     del doc["stubborn"]
     cfg = load_config(write_doc(tmp_path, doc))
-    assert cfg.stubborn.enabled is False
+    assert cfg.stubborn is None
 
 
 @pytest.mark.parametrize(
@@ -182,7 +194,7 @@ def test_stubborn_section_optional(tmp_path):
     ],
 )
 def test_invalid_values_rejected_with_field_path(tmp_path, mutate, path_fragment):
-    doc = preset_doc("S3")  # stubborn enabled so its node is validated
+    doc = preset_doc("S3")  # S3 has the stubborn section whose node is checked
     mutate(doc)
     with pytest.raises(ConfigError, match=path_fragment.replace(".", r"\.")):
         load_config(write_doc(tmp_path, doc))
@@ -234,10 +246,10 @@ def test_child_rng_rejects_unknown_stream():
 
 # SHA-256 of save_config's output for each preset (the run's config.json).
 PRESET_CONFIG_SHA256 = {
-    "S1": "dbb4f272129ab1fba61012084a520ac7ba73bec0c3f145200dd2613d51b42223",
-    "S2": "1dce4f9a4ad4550392e17e0079dfc6928d3e31b59f993c3c0b1680e6aa9ec48d",
-    "S3": "1a43a6ed3d071eae6cd5d7afaef11d595973a95b8f1ff1195dfe226cc6ace9ad",
-    "S4": "66528ebd061287255ecaa6d3e0522d6a7427df26e656b1b167ad70e38ddfa7bb",
+    "S1": "244b0dc7b8500594a0bdb304ba61c7c3a9e8904c5bb9a8e420270a0b4d2d7f0b",
+    "S2": "67af9421e30b83f7b867167209f8523b8d548352730f07c713c890f2d1105788",
+    "S3": "7f9334ec2fb701e3ac8b74c9ddc16ea1c5cb2c6f02f3584321f00359d13035d5",
+    "S4": "b930d6b2c456edf187f8389bac42a2b1ac6c8b38c324aca5884f7f291282c795",
 }
 
 
@@ -266,9 +278,10 @@ SINGLE_FAULTS = [
     ("S1", "network", "bogus", 1, "unknown key 'bogus' at network"),
     ("S1", "network", "seed", DELETE, "missing key 'seed' at network"),
     ("S1", "model", "sigma_y", 0.0, "model.sigma_y must be positive, got 0.0"),
-    ("S1", "model", "modes", 0, "model.modes must be at least 1, got 0"),
-    ("S1", "model", "modes", 3,
-     "model.init_mean_ranges must list one [lo, hi] pair per mode (3)"),
+    ("S1", "model", "init_mean_ranges", [],
+     "model.init_mean_ranges must list at least one [lo, hi] pair"),
+    ("S1", "model", "init_variances", [1.0, 1.0, 1.0],
+     "model.init_variances must list one value per mode (2)"),
     ("S1", "model", "init_mean_ranges", [[0.0, 1.0], [1.0, 0.0]],
      "model.init_mean_ranges[1] has hi < lo"),
     ("S1", "model", "init_mean_ranges", [0.0, 1.0],
@@ -291,8 +304,8 @@ SINGLE_FAULTS = [
      "policy.weight_policy must be one of ('identity', 'geometric'), got 'magic'"),
     ("S1", "policy", "weight_policy", 1,
      "policy.weight_policy must be a string, got 1"),
-    ("S1", "stubborn", "enabled", DELETE, "missing key 'enabled' at stubborn"),
-    ("S1", "stubborn", "enabled", 1, "stubborn.enabled must be true or false, got 1"),
+    ("S3", "stubborn", "enabled", True, "unknown key 'enabled' at stubborn"),
+    ("S3", "stubborn", "node", DELETE, "missing key 'node' at stubborn"),
     ("S3", "stubborn", "node", 0, "stubborn.node must be >= 1, got 0"),
     ("S3", "stubborn", "node", 99, "stubborn.node must lie in [1, 50], got 99"),
     ("S3", "stubborn", "mu_dagger", "low",
@@ -348,6 +361,27 @@ def test_replace_revalidates_run_config():
         replace(run, trailing_window=0)
 
 
+@pytest.mark.parametrize(
+    "preset, section, changes, message",
+    [
+        ("S1", "model", {"theta": math.nan}, "theta must be finite, got nan"),
+        ("S1", "model", {"theta": math.inf}, "theta must be finite, got inf"),
+        ("S1", "model", {"sigma_y": math.inf}, "sigma_y must be finite, got inf"),
+        ("S1", "model", {"init_variances": (math.inf, 1.0)},
+         "init_variances[0] must be finite, got inf"),
+        ("S1", "model", {"init_mean_ranges": ((0.0, math.inf), (-1.0, 0.0))},
+         "init_mean_ranges[0] must be finite, got [0.0, inf]"),
+        ("S3", "stubborn", {"mu_dagger": math.nan}, "mu_dagger must be finite, got nan"),
+    ],
+    ids=["theta=nan", "theta=inf", "sigma_y=inf", "init_variances", "init_mean_ranges",
+         "mu_dagger=nan"],
+)
+def test_non_finite_values_rejected_on_construction(preset, section, changes, message):
+    with pytest.raises(InvalidParameterError) as excinfo:
+        replace(getattr(load_preset(preset), section), **changes)
+    assert str(excinfo.value) == message
+
+
 def test_null_init_weights_load_as_uniform(tmp_path):
     doc = preset_doc()
     doc["model"]["init_weights"] = None
@@ -357,7 +391,7 @@ def test_null_init_weights_load_as_uniform(tmp_path):
 def test_null_stubborn_section_means_disabled(tmp_path):
     doc = preset_doc("S3")
     doc["stubborn"] = None
-    assert load_config(write_doc(tmp_path, doc)).stubborn.enabled is False
+    assert load_config(write_doc(tmp_path, doc)).stubborn is None
 
 
 def test_given_init_weights_are_rescaled_once(tmp_path):
